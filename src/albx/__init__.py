@@ -42,12 +42,9 @@ from .funcfield import (
 from .infdiv import (
     FormalGroupData,
     InfinitesimalDivisor,
-    LocalFunctional,
     divisor_group,
     etale_kernel,
-    fml,
     lie_kernel,
-    pushforward_inf,
     residue_pairing,
 )
 from .motive import (

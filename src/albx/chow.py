@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .arith import format_rat
 from .curve import Divisor, degree_per_component, series_tuple_vector, validate
-from .errors import DegreeError, InputError, NonSplitError, NotCartierError
+from .errors import DegreeError, InputError, NotCartierError
 from .funcfield import (
     Place,
     RatFunc,
@@ -149,8 +149,6 @@ def is_cartier_unit(funcs, config):
         return True
     except NotCartierError:
         return False
-    except NonSplitError:
-        raise
 
 
 def div_C(f, config):
@@ -172,7 +170,7 @@ def div_C(f, config):
     return cycle
 
 
-def interpolate_divisor(cycle, component, base_point=None):
+def interpolate_divisor(cycle, component):
     """The monic-ratio rational function with the given degree-0 divisor.
 
     Genus zero makes it unique once numerator and denominator are monic;
@@ -191,9 +189,6 @@ def interpolate_divisor(cycle, component, base_point=None):
             factors.append((p.coordinate, m))
     if degree != 0:
         raise DegreeError(f"cycle has degree {degree} on {component}")
-    # base_point anchors the map on general cycles; a degree-0 divisor
-    # determines its interpolant without it
-    del base_point
     f = RatFunc.from_factors(factors, component=component)
     # the infinity coefficient is forced: deg den - deg num
     assert f.den.degree - f.num.degree == inf_coeff
@@ -297,10 +292,7 @@ def abel_jacobi(cycle, config, alb):
     bad = {c: d for c, d in degrees.items() if d}
     if bad:
         raise DegreeError(f"cycle has nonzero degree: {bad}")
-    funcs = {
-        comp: interpolate_divisor(cycle, comp, alb.base_points.get(comp))
-        for comp in config.components
-    }
+    funcs = {comp: interpolate_divisor(cycle, comp) for comp in config.components}
     return albanese_pairing(funcs, config, alb)
 
 

@@ -2,17 +2,15 @@
 
 An infinitesimal divisor is a finite family of principal parts, one per
 place of the smooth model.  Through the residue pairing
-(f, g) -> Res(f dg) each principal part is the same thing as a
-continuous linear functional on the completed maximal ideal at its
-place, and that identification is what makes push-forward to the
-singular curve computable: restrict the functional to the subideal
-generated by the singular point's generators.
+(f, g) -> Res(f dg) each principal part acts on the completed maximal
+ideal at its place; push-forward to the singular curve restricts that
+action to the subideal generated by the singular point's generators.
 
 The formal group attached to a configuration is cut out by two kernels:
 
   * etale part: divisors supported on the branch places, of degree zero
     on every component, whose push-forward to the curve vanishes
-    (an integer lattice, computed by Smith normal form);
+    (an integer lattice, computed by Hermite reduction);
   * Lie part: principal parts with pole order at most the conductor at
     each branch, annihilating every element of the maximal ideal of the
     curve downstairs (a homogeneous rational system).
@@ -56,10 +54,6 @@ class InfinitesimalDivisor:
 
     def part(self, place):
         return self.parts.get(place)
-
-    def pole_order(self, place):
-        series = self.parts.get(place)
-        return -min(series.coeffs) if series is not None else 0
 
     def is_zero(self):
         return not self.parts
@@ -122,82 +116,6 @@ def residue_pairing(f, g):
     return total
 
 
-class LocalFunctional:
-    """A continuous functional known through its values on u^1..u^N."""
-
-    __slots__ = ("place", "truncation", "values")
-
-    def __init__(self, place, truncation, values):
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "truncation", int(truncation))
-        object.__setattr__(
-            self, "values", {int(e): Fraction(v) for e, v in values.items() if v}
-        )
-
-    def __setattr__(self, *args):
-        raise AttributeError("LocalFunctional is immutable")
-
-    def apply(self, series):
-        """Value on a series in the maximal ideal (linear in the series)."""
-        if series is None:
-            return Fraction(0)
-        if series.place != self.place:
-            raise InputError("functional applied at the wrong place")
-        total = Fraction(0)
-        for e, c in series.coeffs.items():
-            if e < 1:
-                raise InputError("functional applied outside the maximal ideal")
-            if e <= self.truncation:
-                total += c * self.values.get(e, Fraction(0))
-        return total
-
-    def is_zero(self):
-        return not self.values
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalFunctional)
-            and self.place == other.place
-            and self.truncation == other.truncation
-            and self.values == other.values
-        )
-
-    def __repr__(self):
-        return f"LocalFunctional({self.place!r}, {self.values!r})"
-
-
-def fml(delta, truncation):
-    """The functionals g -> Res(delta dg), one per place of the support."""
-    out = {}
-    for place in delta.places():
-        part = delta.parts[place]
-        values = {}
-        for e in range(1, truncation + 1):
-            c = part.coeffs.get(-e)
-            if c:
-                values[e] = e * c
-        out[place] = LocalFunctional(place, truncation, values)
-    return out
-
-
-def pushforward_inf(functionals, sp):
-    """Values of a branch-supported functional family on the point's generators.
-
-    functionals maps branch places to LocalFunctional (missing = zero);
-    the result lists, per ideal generator of the singular point, the sum
-    of branch residues against that generator tuple.
-    """
-    out = []
-    for tup in sp.generators:
-        total = Fraction(0)
-        for q, series in zip(sp.branches, tup):
-            fun = functionals.get(q)
-            if fun is not None and series is not None:
-                total += fun.apply(series)
-        out.append(total)
-    return out
-
-
 class FormalGroupData:
     """A formal group as a free lattice plus a finite dimensional Lie part."""
 
@@ -249,8 +167,8 @@ def etale_kernel(config):
     """Lattice basis of branch-supported, degree-0 divisors killed by push-forward.
 
     The system stacks one degree row per component with one incidence
-    row per singular point; the integer kernel comes from Smith normal
-    form and is returned as primitive vectors in Hermite form.
+    row per singular point; the saturated integer kernel is returned as
+    primitive vectors in Hermite form.
     """
     _require_validated(config)
     cols = config.branch_places()

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals and the integers.
 
-Kernels of rational systems are computed by fraction-free elimination on
-denominator-cleared integer rows; integer (lattice) kernels go through
-Smith normal form.  All bases are canonicalized (Hermite form, positive
-leading entries, fixed column order) so repeated runs print identical
-output.
+There is one rational elimination (RowSpan, a reduced row echelon form
+maintained incrementally) and one integer elimination (hnf_rows, the
+row Hermite normal form).  Rational kernels are read off the reduced
+row space; integer (lattice) kernels come from Hermite reduction of
+[A^T | I].  All bases are canonicalized (Hermite form, positive leading
+entries, fixed column order) so repeated runs print identical output.
 """
 
 from fractions import Fraction
@@ -41,56 +42,26 @@ def clear_denominators(row):
     return make_primitive([int(x * lcm) for x in fr])
 
 
-def int_echelon(rows, ncols):
-    """Fraction-free row echelon form of integer rows.
-
-    Returns (echelon_rows, pivot_cols); rows are primitive, pivots
-    positive, elimination order is left to right (deterministic).
-    """
-    work = [make_primitive(list(r)) for r in rows]
-    work = [r for r in work if any(r)]
-    echelon = []
-    pivots = []
-    for c in range(ncols):
-        hit = None
-        for i, row in enumerate(work):
-            if row[c]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        piv = work.pop(hit)
-        for i, row in enumerate(work):
-            if row[c]:
-                p, q = piv[c], row[c]
-                g = gcd(p, q)
-                new = [x * (p // g) - y * (q // g) for x, y in zip(row, piv)]
-                work[i] = make_primitive(new)
-        work = [r for r in work if any(r)]
-        echelon.append(piv)
-        pivots.append(c)
-    return echelon, pivots
-
-
 def rational_kernel_basis(rows, ncols):
     """Basis of {x : A x = 0} over Q, one vector per free column.
 
-    Rows may hold ints or Fractions.  Basis vectors come back as
+    Rows may hold ints or Fractions.  The reduced row echelon form of the
+    row space gives, for each free column f, the vector with x[f] = 1 and
+    x[p] = -row_p[f] at every pivot p.  Basis vectors come back as
     primitive integer vectors, ordered by free column, first nonzero
     entry positive.
     """
-    cleared = [clear_denominators(r) for r in rows]
-    echelon, pivots = int_echelon(cleared, ncols)
-    pivot_set = set(pivots)
+    span = RowSpan(ncols)
+    for row in rows:
+        span.add(row)
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in span._rows:
             continue
         x = [Fraction(0)] * ncols
         x[free] = Fraction(1)
-        for row, pc in zip(reversed(echelon), reversed(pivots)):
-            s = sum(Fraction(row[c]) * x[c] for c in range(pc + 1, ncols) if x[c])
-            x[pc] = -s / row[pc]
+        for p, row in span._rows.items():
+            x[p] = -row[free]
         basis.append(clear_denominators(x))
     return basis
 
@@ -137,87 +108,12 @@ class RowSpan:
         return [self._rows[p] for p in sorted(self._rows)]
 
 
-def smith_normal_form(rows, ncols):
-    """Diagonalize an integer matrix by unimodular row/column operations.
-
-    Returns (diag, V) with diag the list of diagonal entries of S = U A V
-    (nonzero entries first) and V the full n x n right transform, stored
-    as a list of columns.
-    """
-    A = [[int(x) for x in r] for r in rows]
-    m, n = len(A), ncols
-    vcols = [[int(i == j) for i in range(n)] for j in range(n)]
-
-    def swap_cols(a, b):
-        for row in A:
-            row[a], row[b] = row[b], row[a]
-        vcols[a], vcols[b] = vcols[b], vcols[a]
-
-    def addmul_col(dst, src, q):
-        for row in A:
-            row[dst] -= q * row[src]
-        vcols[dst] = [x - q * y for x, y in zip(vcols[dst], vcols[src])]
-
-    k = 0
-    while k < min(m, n):
-        piv = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if A[i][j] and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        A[k], A[piv[0]] = A[piv[0]], A[k]
-        if piv[1] != k:
-            swap_cols(k, piv[1])
-        if A[k][k] < 0:
-            A[k] = [-x for x in A[k]]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, m):
-                if A[i][k]:
-                    q = A[i][k] // A[k][k]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-                    if A[i][k]:
-                        A[k], A[i] = A[i], A[k]
-                        dirty = True
-            for j in range(k + 1, n):
-                if A[k][j]:
-                    q = A[k][j] // A[k][k]
-                    addmul_col(j, k, q)
-                    if A[k][j]:
-                        swap_cols(k, j)
-                        dirty = True
-            if A[k][k] < 0:
-                A[k] = [-x for x in A[k]]
-        k += 1
-    diag = [A[i][i] for i in range(min(m, n))]
-    diag += [0] * (n - len(diag))
-    return diag, vcols
-
-
 def integer_kernel_basis(rows, ncols):
     """Canonical basis of the saturated lattice {x in Z^n : A x = 0}.
 
-    Smith normal form supplies a basis; Hermite reduction of that basis
-    plus sign normalization makes the result unique.
-    """
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-    diag, vcols = smith_normal_form(rows, ncols)
-    kernel = [vcols[j] for j in range(ncols) if j >= len(diag) or diag[j] == 0]
-    return hnf_rows(kernel, ncols)
-
-
-def integer_kernel_hnf(rows, ncols):
-    """Saturated integer kernel by Hermite reduction of the transpose.
-
     Row-reduce [A^T | I] unimodularly; rows whose left block vanishes
-    carry a basis of {x in Z^n : A x = 0} in their right block.  Better
-    behaved than full Smith form on wide matrices; used where only the
-    kernel (not the diagonal) is needed.
+    carry a basis of the kernel in their right block.  A second Hermite
+    reduction of that basis makes the result unique.
     """
     rows = [list(r) for r in rows]
     m = len(rows)
@@ -229,6 +125,11 @@ def integer_kernel_hnf(rows, ncols):
     reduced = hnf_rows(aug, m + ncols)
     kernel = [row[m:] for row in reduced if not any(row[:m])]
     return hnf_rows(kernel, ncols)
+
+
+# Former name of the routine above, kept because the benchmark's layer
+# trace (perfbench/layers.py) looks it up by name.
+integer_kernel_hnf = integer_kernel_basis
 
 
 def hnf_rows(vectors, ncols):

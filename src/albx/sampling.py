@@ -21,7 +21,7 @@ from .chow import ZeroCycle, is_cartier_unit
 from .curve import validate
 from .errors import InputError
 from .funcfield import Place, RatFunc
-from .linalg import clear_denominators, integer_kernel_hnf, lll_reduce
+from .linalg import clear_denominators, integer_kernel_basis, lll_reduce
 
 
 def random_rational(rng, height=10, nonzero=False):
@@ -135,9 +135,6 @@ class CartierUnitSampler:
             self.pools[comp] = xs
             self.columns.extend((comp, x) for x in xs)
 
-    def _column_index(self, comp, x):
-        return self.columns.index((comp, x))
-
     def _value_vector(self, q):
         """Per-column valuation data of f's value at branch q (None at infinity)."""
         if q.is_infinite():
@@ -191,7 +188,7 @@ class CartierUnitSampler:
                                 )
                         row.append(v)
                     rows.append(row)
-        basis = [b for b in integer_kernel_hnf(rows, ncols) if any(b)]
+        basis = integer_kernel_basis(rows, ncols)
         if not basis:
             raise InputError("empty exponent kernel")
 

@@ -283,7 +283,7 @@ def suite_config(config, trials, seed):
 
 def run_verify(config=None, trials=100, seed=0):
     """All suites; returns (results, elapsed_seconds)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = [
         suite_series(max(1, trials // 10), seed),
         suite_pairing(),
@@ -296,4 +296,4 @@ def run_verify(config=None, trials=100, seed=0):
     ]
     if config is not None:
         results.extend(suite_config(config, trials, seed))
-    return results, time.time() - t0
+    return results, time.perf_counter() - t0

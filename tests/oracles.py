@@ -3,7 +3,7 @@
 Everything here recomputes results from raw configuration data with
 sympy row reduction (exhaustive row reduction for the integer side,
 dense pairing matrices for the Lie side).  No code is shared with the
-package's own elimination or Smith-form routines.
+package's own elimination routines.
 """
 
 from fractions import Fraction as F

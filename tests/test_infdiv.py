@@ -3,11 +3,10 @@
 The oracles (tests/oracles.py) recompute everything from scratch with
 sympy: span closures by rational row reduction on dense matrices,
 kernels as nullspaces.  They share no code path with the package's
-fraction-free elimination and Smith-form machinery.
+own elimination routines.
 """
 
 import itertools
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,12 +20,9 @@ from albx.funcfield import INF, LaurentSeries, Place
 from albx.infdiv import (
     FormalGroupData,
     InfinitesimalDivisor,
-    LocalFunctional,
     divisor_group,
     etale_kernel,
-    fml,
     lie_kernel,
-    pushforward_inf,
     residue_pairing,
 )
 
@@ -70,65 +66,6 @@ def test_perfect_pairing_matrices():
             ),
         )
         assert m.det() != 0
-
-
-# --- fml and push-forward --------------------------------------------------------
-
-
-def test_fml_examples():
-    d = InfinitesimalDivisor({P0: principal({-1: 1})})
-    fun = fml(d, 3)[P0]
-    assert fun.apply(LaurentSeries(P0, 3, {1: 1})) == 1
-    assert fun.apply(LaurentSeries(P0, 3, {2: 1})) == 0
-    assert fml(InfinitesimalDivisor(), 3) == {}
-    d2 = InfinitesimalDivisor({P0: principal({-2: 1})})
-    assert fml(d2, 3)[P0].apply(LaurentSeries(P0, 3, {2: 1})) == 2
-
-
-def test_fml_injective_on_monomials():
-    rng = random.Random(0)
-    seen = {}
-    for _ in range(30):
-        coeffs = {-j: F(rng.randint(-4, 4)) for j in range(1, 4)}
-        coeffs = {e: c for e, c in coeffs.items() if c}
-        if not coeffs:
-            continue
-        d = InfinitesimalDivisor({P0: principal(coeffs)})
-        key = tuple(sorted(fml(d, 5)[P0].values.items()))
-        if key in seen:
-            assert seen[key] == coeffs
-        seen[key] = coeffs
-
-
-def test_pushforward_inf_cusp(cusp):
-    sp = cusp.singular_points[0]
-    phi = fml(InfinitesimalDivisor({P0: principal({-1: 1})}), cusp.truncation)
-    assert pushforward_inf(phi, sp) == [0, 0]
-
-
-def test_pushforward_inf_node(node):
-    sp = node.singular_points[0]
-    phi = fml(InfinitesimalDivisor({P0: principal({-1: 1})}), node.truncation)
-    assert pushforward_inf(phi, sp) == [1, 0]
-
-
-def test_pushforward_inf_zero(node):
-    sp = node.singular_points[0]
-    assert pushforward_inf({}, sp) == [0, 0]
-
-
-def test_pushforward_inf_linear(tacnode):
-    sp = tacnode.singular_points[0]
-    q1, q2 = sp.branches
-    n = tacnode.truncation
-    a = InfinitesimalDivisor({q1: principal({-1: 1}, q1)})
-    b = InfinitesimalDivisor({q2: principal({-1: 2}, q2)})
-    va = pushforward_inf(fml(a, n), sp)
-    vb = pushforward_inf(fml(b, n), sp)
-    vab = pushforward_inf(fml(a + b, n), sp)
-    assert vab == [x + y for x, y in zip(va, vb)]
-    v3a = pushforward_inf(fml(a.scale(3), n), sp)
-    assert v3a == [3 * x for x in va]
 
 
 # --- independent oracles (tests/oracles.py) -----------------------------------

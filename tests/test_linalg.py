@@ -1,17 +1,20 @@
+import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
+
+from oracles import as_primitive_int, integer_combination
 
 from albx.linalg import (
     RowSpan,
     clear_denominators,
     hnf_rows,
-    int_echelon,
     integer_kernel_basis,
-    integer_kernel_hnf,
     lll_reduce,
     rational_kernel_basis,
-    smith_normal_form,
 )
 
 
@@ -24,11 +27,6 @@ def test_clear_denominators():
     # primitive with positive first nonzero entry
     assert clear_denominators([Fraction(-2), Fraction(4)]) == [1, -2]
     assert clear_denominators([0, 0]) == [0, 0]
-
-
-def test_int_echelon_rank():
-    rows, pivots = int_echelon([[1, 1, 1], [1, 1, 1], [0, 1, 2]], 3)
-    assert len(rows) == 2 and pivots == [0, 1]
 
 
 def test_rational_kernel():
@@ -45,14 +43,13 @@ def test_rational_kernel_empty_and_full():
     assert rational_kernel_basis([], 2) == [[1, 0], [0, 1]]
 
 
-def test_smith_normal_form_diagonalizes():
-    rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    diag, vcols = smith_normal_form(rows, 3)
-    # classical example: elementary divisors 2, 2, 156 up to units
-    nonzero = sorted(abs(d) for d in diag if d)
-    assert len(nonzero) == 3
-    prod = nonzero[0] * nonzero[1] * nonzero[2]
-    assert prod == 624  # |det|
+def gcd_of_maximal_minors(basis):
+    """1 exactly when the lattice spanned by the rows is saturated."""
+    k, n = len(basis), len(basis[0])
+    g = 0
+    for cols in itertools.combinations(range(n), k):
+        g = gcd(g, int(sympy.Matrix([[row[c] for c in cols] for row in basis]).det()))
+    return g
 
 
 @pytest.mark.parametrize(
@@ -66,11 +63,14 @@ def test_smith_normal_form_diagonalizes():
     ],
 )
 def test_integer_kernels_agree(rows, ncols):
-    a = integer_kernel_basis(rows, ncols)
-    b = integer_kernel_hnf(rows, ncols)
-    assert a == b  # both canonicalized through Hermite form
-    for v in a:
+    # the integer kernel agrees with the rational one: a canonical
+    # (Hermite) basis of the saturated lattice in the same Q-span
+    basis = integer_kernel_basis(rows, ncols)
+    for v in basis:
         assert not any(mat_vec(rows, v))
+    assert basis == hnf_rows(basis, ncols)
+    assert len(basis) == len(rational_kernel_basis(rows, ncols))
+    assert gcd_of_maximal_minors(basis) == 1
 
 
 def test_integer_kernel_saturated():
@@ -94,6 +94,70 @@ def test_row_span():
     assert not span.contains([0, 0, 1])
     assert span.rank == 2
     assert len(span.rows()) == 2
+
+
+def test_int_echelon_rank():
+    # a repeated row does not raise the rank; pivots land in columns 0, 1
+    span = RowSpan(3)
+    added = [span.add(row) for row in ([1, 1, 1], [1, 1, 1], [0, 1, 2])]
+    assert added == [True, False, True]
+    assert span.rank == 2
+    pivots = [next(i for i, x in enumerate(r) if x) for r in span.rows()]
+    assert pivots == [0, 1]
+    assert span.rows() == [[1, 0, -1], [0, 1, 2]]
+
+
+def random_matrix(rng):
+    """Small matrix with int or Fraction entries, zero rows and mostly zero
+    entries, so ranks range from zero to full."""
+    m, n = rng.randint(0, 5), rng.randint(1, 5)
+    fractions = rng.random() < 0.5
+    rows = []
+    for _ in range(m):
+        if rng.random() < 0.15:
+            rows.append([0] * n)
+            continue
+        row = []
+        for _ in range(n):
+            if rng.random() < 0.4:
+                row.append(0)
+            elif fractions:
+                row.append(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+            else:
+                row.append(rng.randint(-4, 4))
+        rows.append(row)
+    return rows, n
+
+
+def canonical(vec):
+    """Primitive integer vector with first nonzero entry positive."""
+    v = as_primitive_int(vec)
+    lead = next((x for x in v if x), 0)
+    return [-x for x in v] if lead < 0 else v
+
+
+def test_kernels_match_sympy_nullspace():
+    rng = random.Random(20061)
+    seen = {"fraction": 0, "zero_row": 0, "full_rank": 0, "trivial_kernel": 0}
+    for _ in range(240):
+        rows, n = random_matrix(rng)
+        null = sympy.Matrix(len(rows), n, [x for r in rows for x in r]).nullspace()
+        oracle = [canonical(list(v)) for v in null]
+        assert rational_kernel_basis(rows, n) == oracle, rows
+
+        integer_rows = [as_primitive_int(r) for r in rows]
+        lattice = integer_kernel_basis(integer_rows, n)
+        assert len(lattice) == len(oracle), rows
+        for v in lattice:
+            assert not any(mat_vec(rows, v)), rows
+        for v in oracle:
+            assert integer_combination(lattice, v), rows
+
+        seen["fraction"] += any(isinstance(x, Fraction) for r in rows for x in r)
+        seen["zero_row"] += any(not any(r) for r in rows)
+        seen["full_rank"] += bool(rows) and n - len(null) == min(len(rows), n)
+        seen["trivial_kernel"] += not null
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_lll_preserves_lattice_and_shrinks():
