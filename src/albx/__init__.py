@@ -48,14 +48,11 @@ from .infdiv import (
     residue_pairing,
 )
 from .motive import (
-    AlbaneseStructure,
-    LinearGroupDescriptor,
     OneMotive,
     albanese,
-    cartier_dual,
     double_dual_check,
     dualize,
-    formal_group_from_support,
+    linear_group,
     one_motive,
 )
 from .symbols import Modulus, SymbolValue, is_modulus, reciprocity_check, residue_symbol, tame_symbol

@@ -248,8 +248,8 @@ class AJPoint:
         }
 
 
-def albanese_pairing(funcs, config, alb):
-    """Pair a unit tuple against the receptor bases.
+def albanese_pairing(funcs, alb):
+    """Pair a unit tuple against the bases of the formal group alb.
 
     Torus coordinate for a lattice divisor w: prod over branch places q
     of f(q)^(w_q).  Vectorial coordinate for a Lie element delta: sum of
@@ -293,7 +293,7 @@ def abel_jacobi(cycle, config, alb):
     if bad:
         raise DegreeError(f"cycle has nonzero degree: {bad}")
     funcs = {comp: interpolate_divisor(cycle, comp) for comp in config.components}
-    return albanese_pairing(funcs, config, alb)
+    return albanese_pairing(funcs, alb)
 
 
 def rationally_equivalent(cycle, config, alb=None):

@@ -19,7 +19,7 @@ from .curve import config_to_json, degree_per_component, load_config, validate
 from .errors import AlbxError, InputError
 from .funcfield import Place, RatFunc, parse_coordinate
 from .infdiv import divisor_group
-from .motive import albanese, dualize, one_motive
+from .motive import OneMotive, albanese, base_points_for, dualize, linear_group
 from .symbols import reciprocity_check, residue_symbol, tame_symbol
 from .verify import run_verify
 
@@ -156,15 +156,20 @@ def _emit(payload, fmt, lines):
 def cmd_analyze(args):
     config = validate(load_config(args.curve))
     formal = divisor_group(config)
-    alb = albanese(config)
-    motive = one_motive(config)
+    motive = OneMotive(formal)
     dual = dualize(motive)
+    bases = formal.to_json()
+    ranks = {"torus_rank": formal.rank, "vectorial_dim": formal.dim}
+    base_points = sorted(base_points_for(config).items())
     payload = {
         "curve": config_to_json(config),
-        "formal_group": formal.to_json(),
-        "torus_rank": alb.torus_rank,
-        "vectorial_dim": alb.vectorial_dim,
-        "albanese": alb.to_json(),
+        "formal_group": bases,
+        **ranks,
+        "albanese": {
+            **bases,
+            **ranks,
+            "base_points": [p.to_json() for _, p in base_points],
+        },
         "motive": repr(motive),
         "dual_motive": repr(dual),
     }
@@ -174,7 +179,7 @@ def cmd_analyze(args):
         f"truncation: {config.truncation}",
         f"lattice rank: {formal.rank}",
         f"lie dimension: {formal.dim}",
-        f"albanese group: {alb.group!r}",
+        f"albanese group: {linear_group(formal.rank, formal.dim)}",
         f"motive: {motive!r}",
         f"dual motive: {dual!r}",
     ]

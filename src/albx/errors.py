@@ -32,10 +32,6 @@ class InsufficientTruncationError(AlbxError):
     """A coefficient beyond the stored truncation order was required."""
 
 
-class UnsupportedCaseError(AlbxError):
-    """Outside the implemented scope (e.g. nontrivial abelian part)."""
-
-
 class NotCartierError(AlbxError):
     """Function tuple is not a unit along the singular locus."""
 

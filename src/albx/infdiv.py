@@ -136,11 +136,6 @@ class FormalGroupData:
     def dim(self):
         return len(self.lie_basis)
 
-    def direct_sum(self, other):
-        return FormalGroupData(
-            self.etale_basis + other.etale_basis, self.lie_basis + other.lie_basis
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, FormalGroupData)

@@ -1,186 +1,73 @@
-"""Formal groups, linear group descriptors, duality, and the Albanese.
+"""The one-motive of the curve, its dual, and the Albanese receptor.
 
 In characteristic zero a torsion-free formal group is its lattice of
 points plus its Lie algebra, and Cartier duality swaps lattices with
 tori and vector spaces with infinitesimal groups.  Since every
 component of the smooth model here is a projective line, the Picard
-part of the motive vanishes and dualizing the two-term complex
-[formal group -> 0] lands directly on the linear group that receives
-the Abel-Jacobi map.  Nontrivial abelian parts are out of scope and
-rejected loudly.
+part of the motive vanishes: the motive is [F -> 0] for the formal
+group F of the curve, and its dual is [0 -> F^v], the linear group
+that receives the Abel-Jacobi map.  Both are described by F alone, so
+FormalGroupData is the only type that holds the bases.
 """
 
 from .curve import validate
-from .errors import UnsupportedCaseError, ValidationError
 from .funcfield import Place
-from .infdiv import FormalGroupData, divisor_group
-from .linalg import integer_kernel_basis
-from .curve import Divisor
+from .infdiv import divisor_group
 
 
-class LinearGroupDescriptor:
-    """A product of torus and vectorial factors: (G_m)^t x (G_a)^v."""
-
-    __slots__ = ("torus_rank", "vectorial_dim")
-
-    def __init__(self, torus_rank, vectorial_dim):
-        if torus_rank < 0 or vectorial_dim < 0:
-            raise ValueError("negative rank or dimension")
-        object.__setattr__(self, "torus_rank", int(torus_rank))
-        object.__setattr__(self, "vectorial_dim", int(vectorial_dim))
-
-    def __setattr__(self, *args):
-        raise AttributeError("LinearGroupDescriptor is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearGroupDescriptor)
-            and self.torus_rank == other.torus_rank
-            and self.vectorial_dim == other.vectorial_dim
-        )
-
-    def __hash__(self):
-        return hash((self.torus_rank, self.vectorial_dim))
-
-    def is_trivial(self):
-        return self.torus_rank == 0 and self.vectorial_dim == 0
-
-    def __repr__(self):
-        factors = []
-        if self.torus_rank:
-            factors.append("Gm" if self.torus_rank == 1 else f"Gm^{self.torus_rank}")
-        if self.vectorial_dim:
-            factors.append("Ga" if self.vectorial_dim == 1 else f"Ga^{self.vectorial_dim}")
-        return " x ".join(factors) if factors else "1"
-
-
-TRIVIAL_GROUP = LinearGroupDescriptor(0, 0)
-TRIVIAL_FORMAL = FormalGroupData((), ())
-
-
-def cartier_dual(formal):
-    """Dual linear group of a formal group: lattice rank -> torus rank,
-    Lie dimension -> vectorial dimension."""
-    return LinearGroupDescriptor(formal.rank, formal.dim)
+def linear_group(rank, dim):
+    """Name of the linear group (G_m)^rank x (G_a)^dim, e.g. "Gm^2 x Ga"."""
+    factors = []
+    if rank:
+        factors.append("Gm" if rank == 1 else f"Gm^{rank}")
+    if dim:
+        factors.append("Ga" if dim == 1 else f"Ga^{dim}")
+    return " x ".join(factors) if factors else "1"
 
 
 class OneMotive:
-    """Two-term complex [formal -> linear target], abelian part trivial.
+    """[F -> 0] for a formal group F, or its dual [0 -> F^v] when dual is set.
 
-    The map itself is identically zero in this artifact because the
-    receiving Picard group of a disjoint union of projective lines is
-    trivial.  target_pairing carries the formal group Cartier-dual to
-    the target, so dualizing twice restores the original bases.
+    The map is identically zero because the Picard group of a disjoint
+    union of projective lines is trivial.
     """
 
-    __slots__ = ("formal", "target", "target_pairing", "abelian_dim")
+    __slots__ = ("formal", "dual")
 
-    def __init__(self, formal, target=TRIVIAL_GROUP, target_pairing=TRIVIAL_FORMAL, abelian_dim=0):
+    def __init__(self, formal, dual=False):
         object.__setattr__(self, "formal", formal)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "target_pairing", target_pairing)
-        object.__setattr__(self, "abelian_dim", int(abelian_dim))
+        object.__setattr__(self, "dual", bool(dual))
 
     def __setattr__(self, *args):
         raise AttributeError("OneMotive is immutable")
 
-    def structure(self):
-        """The data that duality must preserve under a double pass."""
-        return (
-            self.formal.rank,
-            self.formal.dim,
-            self.formal.etale_basis,
-            self.formal.lie_basis,
-            self.target.torus_rank,
-            self.target.vectorial_dim,
-            self.abelian_dim,
-        )
-
     def __eq__(self, other):
-        return isinstance(other, OneMotive) and self.structure() == other.structure()
+        return (
+            isinstance(other, OneMotive)
+            and self.formal == other.formal
+            and self.dual == other.dual
+        )
 
     def __repr__(self):
-        return (
-            f"[Z^{self.formal.rank} (+) k^{self.formal.dim} -> {self.target!r}]"
-        )
+        rank, dim = self.formal.rank, self.formal.dim
+        if self.dual:
+            return f"[Z^0 (+) k^0 -> {linear_group(rank, dim)}]"
+        return f"[Z^{rank} (+) k^{dim} -> 1]"
 
 
 def one_motive(config):
     """The motive [formal group of the curve -> Pic^0 = 0]."""
-    config = validate(config)
-    return OneMotive(divisor_group(config))
+    return OneMotive(divisor_group(validate(config)))
 
 
 def dualize(motive):
-    """Dual 1-motive; only the trivial-abelian-part case is supported.
-
-    [F -> L] goes to [L* -> F*]: the new formal part is the Cartier dual
-    of the old linear target (recovered from target_pairing), the new
-    target is the Cartier dual of the old formal part, which keeps the
-    old pairing bases attached.
-    """
-    if motive.abelian_dim != 0:
-        raise UnsupportedCaseError(
-            "duality with a nontrivial abelian part is not implemented"
-        )
-    if (
-        motive.target_pairing.rank != motive.target.torus_rank
-        or motive.target_pairing.dim != motive.target.vectorial_dim
-    ):
-        raise UnsupportedCaseError("target pairing data inconsistent with target")
-    return OneMotive(
-        formal=motive.target_pairing,
-        target=cartier_dual(motive.formal),
-        target_pairing=motive.formal,
-    )
+    """Dual 1-motive: [F -> 0] and [0 -> F^v] are exchanged."""
+    return OneMotive(motive.formal, not motive.dual)
 
 
 def double_dual_check(motive):
-    """True iff dualizing twice reproduces the structural data."""
-    return dualize(dualize(motive)).structure() == motive.structure()
-
-
-class AlbaneseStructure:
-    """The universal receptor with its explicit pairing bases.
-
-    group records the shape (G_m)^t x (G_a)^v; the bases are the ones of
-    the formal group of the curve, against which Abel-Jacobi coordinates
-    are computed; base_points fixes one regular rational point per
-    component for normalization.
-    """
-
-    __slots__ = ("group", "etale_basis", "lie_basis", "base_points")
-
-    def __init__(self, group, etale_basis, lie_basis, base_points):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "etale_basis", tuple(etale_basis))
-        object.__setattr__(self, "lie_basis", tuple(lie_basis))
-        object.__setattr__(self, "base_points", dict(base_points))
-
-    def __setattr__(self, *args):
-        raise AttributeError("AlbaneseStructure is immutable")
-
-    @property
-    def torus_rank(self):
-        return self.group.torus_rank
-
-    @property
-    def vectorial_dim(self):
-        return self.group.vectorial_dim
-
-    def __repr__(self):
-        return f"AlbaneseStructure({self.group!r})"
-
-    def to_json(self):
-        return {
-            "torus_rank": self.group.torus_rank,
-            "vectorial_dim": self.group.vectorial_dim,
-            "etale_basis": [d.to_json() for d in self.etale_basis],
-            "lie_basis": [d.to_json() for d in self.lie_basis],
-            "base_points": [
-                self.base_points[c].to_json() for c in sorted(self.base_points)
-            ],
-        }
+    """True iff dualizing twice gives the motive back."""
+    return dualize(dualize(motive)) == motive
 
 
 def base_points_for(config):
@@ -196,36 +83,9 @@ def base_points_for(config):
 
 
 def albanese(config):
-    """Universal regular quotient of the configuration.
+    """Formal group of the curve, whose Cartier dual is the universal receptor.
 
-    The group is the Cartier dual of the formal group of the curve; the
-    bases are retained because they drive the Abel-Jacobi pairing.
+    The receptor is (G_m)^rank x (G_a)^dim; the bases of the formal
+    group drive the Abel-Jacobi pairing.
     """
-    config = validate(config)
-    formal = divisor_group(config)
-    return AlbaneseStructure(
-        group=cartier_dual(formal),
-        etale_basis=formal.etale_basis,
-        lie_basis=formal.lie_basis,
-        base_points=base_points_for(config),
-    )
-
-
-def formal_group_from_support(config, places):
-    """Degree-0 lattice on a finite support, with trivial Lie part.
-
-    This is the formal group whose dual receives maps regular away from
-    the given points (the semi-abelian case).
-    """
-    places = sorted(set(places), key=Place.sort_key)
-    for p in places:
-        if p.component not in config.components:
-            raise ValidationError(f"place {p!r} on unknown component")
-    if not places:
-        return FormalGroupData((), ())
-    rows = [
-        [1 if q.component == comp else 0 for q in places]
-        for comp in config.components
-    ]
-    basis = integer_kernel_basis(rows, len(places))
-    return FormalGroupData(tuple(Divisor(zip(places, v)) for v in basis), ())
+    return divisor_group(validate(config))

@@ -17,7 +17,7 @@ from albx.chow import (
 from albx.curve import degree_per_component
 from albx.errors import DegreeError, InputError, NotCartierError
 from albx.funcfield import INF, Place, Poly, RatFunc, dlog, expand_at
-from albx.motive import AlbaneseStructure, albanese
+from albx.motive import albanese
 from albx.sampling import CartierUnitSampler, random_rational, random_zero_cycle
 
 T = RatFunc.variable()
@@ -215,18 +215,7 @@ def test_scaling_invariance(whole_zoo):
         scaled = {
             c: f * random_rational(rng, 9, nonzero=True) for c, f in funcs.items()
         }
-        assert albanese_pairing(funcs, cfg, alb) == albanese_pairing(
-            scaled, cfg, alb
-        )
-
-
-def test_base_point_independence(node):
-    alb = albanese(node)
-    moved = AlbaneseStructure(
-        alb.group, alb.etale_basis, alb.lie_basis, {"C0": Place("C0", 17)}
-    )
-    cycle = cyc("C0:2=+1,C0:3=-1")
-    assert abel_jacobi(cycle, node, alb) == abel_jacobi(cycle, node, moved)
+        assert albanese_pairing(funcs, alb) == albanese_pairing(scaled, alb)
 
 
 # --- equivalence decision -------------------------------------------------------------

@@ -61,26 +61,70 @@ def test_parse_expression():
 # --- analyze --------------------------------------------------------------------
 
 
+def analyze_text_lines(path):
+    code, out, _ = run_cli(["analyze", path])
+    assert code == 0
+    return out.splitlines()
+
+
 def test_analyze_node(curve_files):
     code, out, _ = run_cli(["analyze", curve_files["node"], "--format", "json"])
     assert code == 0
     data = json.loads(out)
     assert data["torus_rank"] == 1 and data["vectorial_dim"] == 0
-    assert data["albanese"]["etale_basis"] == [
+    alb = data["albanese"]
+    assert (alb["torus_rank"], alb["vectorial_dim"]) == (1, 0)
+    assert alb["base_points"] == [{"component": "C0", "point": "1"}]
+    assert alb["lie_basis"] == []
+    assert alb["etale_basis"] == [
         [
             {"component": "C0", "point": "0", "coeff": 1},
             {"component": "C0", "point": "inf", "coeff": -1},
         ]
     ]
+    lines = analyze_text_lines(curve_files["node"])
+    assert "albanese group: Gm" in lines
+    assert "motive: [Z^1 (+) k^0 -> 1]" in lines
+    assert "dual motive: [Z^0 (+) k^0 -> Gm]" in lines
 
 
 def test_analyze_cusp_and_tacnode(curve_files):
     code, out, _ = run_cli(["analyze", curve_files["cusp"], "--format", "json"])
     data = json.loads(out)
     assert (data["torus_rank"], data["vectorial_dim"]) == (0, 1)
+    lines = analyze_text_lines(curve_files["cusp"])
+    assert "albanese group: Ga" in lines
+    assert "motive: [Z^0 (+) k^1 -> 1]" in lines
+    assert "dual motive: [Z^0 (+) k^0 -> Ga]" in lines
     code, out, _ = run_cli(["analyze", curve_files["tacnode"], "--format", "json"])
     data = json.loads(out)
     assert (data["torus_rank"], data["vectorial_dim"]) == (1, 1)
+    assert data["albanese"]["base_points"] == [{"component": "C0", "point": "2"}]
+    lines = analyze_text_lines(curve_files["tacnode"])
+    assert "albanese group: Gm x Ga" in lines
+    assert "motive: [Z^1 (+) k^1 -> 1]" in lines
+    assert "dual motive: [Z^0 (+) k^0 -> Gm x Ga]" in lines
+
+
+def test_analyze_computes_formal_group_once(curve_files, monkeypatch, capsys):
+    import albx.infdiv
+
+    calls = {"etale_kernel": 0, "lie_kernel": 0}
+
+    def counted(name):
+        original = getattr(albx.infdiv, name)
+
+        def wrapper(config):
+            calls[name] += 1
+            return original(config)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(albx.infdiv, name, counted(name))
+    assert main(["analyze", curve_files["tacnode"], "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["torus_rank"] == 1
+    assert calls == {"etale_kernel": 1, "lie_kernel": 1}
 
 
 def test_analyze_rejects_invalid(curve_files):

@@ -178,8 +178,8 @@ def test_modulus_curve_group(cusp):
 def test_formal_group_data_shape():
     g = FormalGroupData()
     assert (g.rank, g.dim) == (0, 0)
-    h = g.direct_sum(FormalGroupData((Divisor({P0: 1, Place("C0", 1): -1}),), ()))
-    assert h.rank == 1
+    h = FormalGroupData((Divisor({P0: 1, Place("C0", 1): -1}),), ())
+    assert (h.rank, h.dim) == (1, 0)
 
 
 def test_unvalidated_config_rejected():
