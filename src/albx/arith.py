@@ -24,6 +24,12 @@ def format_rat(x):
     return f"{x.numerator}/{x.denominator}"
 
 
+def common_denominator(values):
+    """Integers n_i and the least d > 0 with values[i] == n_i / d (ints or Fractions)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def is_probable_prime(n):
     if n < 2:
         return False
@@ -102,38 +108,3 @@ def factorint(n):
         stack.append(d)
         stack.append(m // d)
     return out
-
-
-def divisors(n):
-    """All positive divisors of n > 0, ascending."""
-    divs = [1]
-    for p, e in factorint(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def bounded_divisors(n, limit):
-    """Positive divisors of n that are <= limit, ascending.
-
-    Enumerated with pruning, so very smooth n with astronomically many
-    divisors stay cheap as long as the limit is moderate.
-    """
-    if limit < 1:
-        return []
-    primes = sorted(factorint(n).items())
-    out = []
-
-    def walk(i, value):
-        if i == len(primes):
-            out.append(value)
-            return
-        p, e = primes[i]
-        v = value
-        for _ in range(e + 1):
-            walk(i + 1, v)
-            v *= p
-            if v > limit:
-                break
-
-    walk(0, 1)
-    return sorted(out)

@@ -15,12 +15,20 @@ Design choices worth knowing:
     that would need one raises NonSplitError,
   * the residue at infinity folds in dt = -s^(-2) ds, so
     residue(dlog(f, p)) equals the valuation of f at p at every place
-    including infinity.
+    including infinity,
+  * products, multiplicities and Taylor shifts of polynomials run on
+    integer numerators over one common denominator; series inverses
+    follow the linear recurrence of their coefficients, and a residue
+    of a product is one convolution, not a product,
+  * rational roots are found p-adically (Hensel lifting and rational
+    reconstruction), so no integer is ever factored.
 """
 
 from fractions import Fraction
+import itertools
+import math
 
-from .arith import bounded_divisors, divisors, format_rat, parse_rat
+from .arith import common_denominator, format_rat, is_probable_prime, parse_rat
 from .errors import (
     InputError,
     InsufficientTruncationError,
@@ -168,12 +176,15 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        a, da = common_denominator(self.coeffs)
+        b, db = common_denominator(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        d = da * db
+        return Poly([Fraction(c, d) for c in out])
 
     __rmul__ = __mul__
 
@@ -214,19 +225,9 @@ class Poly:
         """Integer coefficient list with content 1 (positive leading)."""
         if self.is_zero():
             return []
-        import math
-
-        lcm = 1
-        for c in self.coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in self.coeffs]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, abs(x))
-        ints = [x // g for x in ints]
-        if ints[-1] < 0:
-            ints = [-x for x in ints]
-        return ints
+        ints = common_denominator(self.coeffs)[0]
+        g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+        return [x // g for x in ints]
 
     def gcd(self, other):
         """Monic gcd by Euclid; remainders kept primitive to tame growth."""
@@ -248,34 +249,33 @@ class Poly:
         return acc
 
     def shifted_coefficients(self, a, upto):
-        """First upto+1 coefficients of p(a + u) as a series in u."""
-        cs = list(self.coeffs)
-        out = []
+        """First upto+1 coefficients of p(a + u) as a series in u.
+
+        With a = r/q and p = P/d, P integral of degree n, the integer
+        polynomial h(x) = q^n P(x/q) gives p(a + u) = h(r + q u) / (d q^n);
+        h is Taylor-shifted by r in integers, and pass i of the shift
+        fixes coefficient i, so only upto + 1 passes run.
+        """
         a = Fraction(a)
-        for _ in range(upto + 1):
-            if not cs:
-                out.append(Fraction(0))
-                continue
-            quotient = []
-            acc = cs[-1]
-            for c in reversed(cs[:-1]):
-                quotient.append(acc)
-                acc = c + a * acc
-            out.append(acc)
-            cs = list(reversed(quotient))
-        return out
+        r, q = a.numerator, a.denominator
+        h, d = common_denominator(self.coeffs)
+        n = len(h) - 1
+        h = [c * q ** (n - i) for i, c in enumerate(h)]
+        for i in range(min(upto + 1, n)):
+            for j in range(n - 1, i - 1, -1):
+                h[j] += r * h[j + 1]
+        d *= q**n
+        return [Fraction(h[k] * q**k, d) if k <= n else Fraction(0) for k in range(upto + 1)]
 
     def multiplicity_at(self, a):
         """Order of vanishing at the finite point a."""
         if self.is_zero():
             raise UndefinedValuationError("zero polynomial")
-        m, cur = 0, self
         a = Fraction(a)
-        while True:
-            q, r = cur.divmod(Poly.linear(a))
-            if not r.is_zero():
-                return m
-            m, cur = m + 1, q
+        m, cur = 0, self.primitive_int()
+        while (cur := _divide_linear(cur, a.numerator, a.denominator)) is not None:
+            m += 1
+        return m
 
     def to_json(self):
         return [format_rat(c) for c in self.coeffs]
@@ -298,6 +298,23 @@ class Poly:
             else:
                 bits.append(f"{format_rat(c)}*t^{i}" if c != 1 else f"t^{i}")
         return " + ".join(reversed(bits))
+
+
+def _divide_linear(ints, r, q):
+    """Quotient of an integer polynomial by q*t - r, or None if it does not divide.
+
+    For coprime r, q an exact quotient is integral (Gauss's lemma), so the
+    synthetic division runs in integers and stops at the first inexact step.
+    """
+    out, s = [], 0
+    for c in reversed(ints[1:]):
+        s, rem = divmod(c + r * s, q)
+        if rem:
+            return None
+        out.append(s)
+    if ints[0] + r * s:
+        return None
+    return out[::-1]
 
 
 class RatFunc:
@@ -547,11 +564,14 @@ class LaurentSeries:
         c = Fraction(c)
         return LaurentSeries(self.place, self.truncation, {e: c * x for e, x in self.coeffs.items()})
 
+    def _product_truncation(self, other):
+        self._check(other)
+        return min(self.truncation + other.lead_bound(), other.truncation + self.lead_bound())
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
-        n = min(self.truncation + other.lead_bound(), other.truncation + self.lead_bound())
+        n = self._product_truncation(other)
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -561,6 +581,16 @@ class LaurentSeries:
         return LaurentSeries(self.place, n, out)
 
     __rmul__ = __mul__
+
+    def product_coefficient(self, other, e):
+        """Coefficient at exponent e of self * other, as one convolution."""
+        n = self._product_truncation(other)
+        if e > n:
+            raise InsufficientTruncationError(
+                f"coefficient at exponent {e} beyond truncation {n}"
+            )
+        b = other.coeffs
+        return sum((c * b[e - k] for k, c in self.coeffs.items() if e - k in b), Fraction(0))
 
     def shift(self, k):
         """Multiply by u^k."""
@@ -587,17 +617,13 @@ class LaurentSeries:
             raise ZeroDivisionError("cannot invert a series that is zero through truncation")
         m = self.leading_exponent()
         c = self.coeffs[m]
-        unit = self.shift(-m).scale(1 / c)  # 1 + w with w of positive order
-        w = unit - 1
-        n = unit.truncation
-        acc = LaurentSeries(self.place, n, {0: 1})
-        term = LaurentSeries(self.place, n, {0: 1})
-        while True:
-            term = term * (-w)
-            if term.lead_bound() > n or term.is_zero():
-                break
-            acc = acc + term
-        return acc.scale(1 / c).shift(-m)
+        n = self.truncation - m
+        # u^(-m) self / c = 1 + w, and b = 1/(1 + w) solves b_k = -sum_j w_j b_(k-j)
+        w = [(e - m, x / c) for e, x in self.coeffs.items() if e != m]
+        b = [Fraction(1)]
+        for k in range(1, n + 1):
+            b.append(-sum((x * b[k - j] for j, x in w if j <= k), Fraction(0)))
+        return LaurentSeries(self.place, n - m, {k - m: x / c for k, x in enumerate(b)})
 
     def log1p(self):
         """log(1 + u) for a series u of positive order, exact through truncation."""
@@ -721,79 +747,81 @@ def dlog(f, p, n):
     return expand_at(g, p, n)
 
 
+def _horner(ints, x, m):
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _squarefree_mod(ints, p):
+    """Is the integer polynomial squarefree, of unchanged degree, mod the prime p?"""
+    if ints[-1] % p == 0:
+        return False
+    a = [c % p for c in ints]
+    b = [i * c % p for i, c in enumerate(ints)][1:]
+    while True:  # Euclid on (a, a') over F_p
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            f = a[-1] * inv % p
+            for i, y in enumerate(b, len(a) - len(b)):
+                a[i] = (a[i] - f * y) % p
+            a.pop()
+        a, b = b, a
+
+
+def _reconstruct(x, m, bound):
+    """The r/q == x mod m with |r| <= bound, from the first Euclidean remainder <= bound."""
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1)
+
+
 def rational_roots(poly):
     """Rational roots with multiplicity, plus the rootless cofactor.
 
     Returns (roots, cofactor) where roots is a list of (Fraction, mult)
-    sorted by root and cofactor has no rational root.  Candidate roots
-    are read off the squarefree part so that high multiplicities do not
-    blow up the divisor enumeration.
+    sorted by root and cofactor has no rational root.  The roots are
+    found p-adically, without factoring any integer: the primitive
+    squarefree part s stays squarefree modulo the smallest prime p that
+    divides neither its leading coefficient nor its discriminant.  Every
+    root r/q of s has |r| <= |s(0)| and 0 < q <= |lc(s)|, so its
+    reduction mod p, Hensel-lifted until p^K > 2 |s(0)| |lc(s)|, gives
+    it back by rational reconstruction.  Each candidate is confirmed,
+    and its multiplicity counted, by exact integer synthetic division.
     """
     if poly.is_zero():
         raise UndefinedValuationError("roots of the zero polynomial")
     roots = []
-    cur = Poly(poly.primitive_int())
-    # factor out powers of t
-    k = 0
-    while not cur.is_zero() and cur.coeffs[0] == 0:
-        cur = Poly(cur.coeffs[1:])
-        k += 1
+    cur = poly.primitive_int()
+    k = next(i for i, c in enumerate(cur) if c)
     if k:
         roots.append((Fraction(0), k))
-    if cur.degree <= 0:
-        return sorted(roots), Poly.const(1)
-    square_free = cur.divmod(cur.gcd(cur.derivative()))[0]
-    sf = square_free.primitive_int()
-    a0, an = abs(sf[0]), abs(sf[-1])
-    # any root p/q has |p/q| <= 2^(1 + max_i ceil((bits(a_{n-i}) - bits(a_n) + 1)/i)),
-    # a cheap overflow-free relaxation of the Fujiwara bound; enumerating
-    # only divisors below it keeps very smooth constant terms tractable
-    n_deg = len(sf) - 1
-    exp = 1
-    for i in range(1, n_deg + 1):
-        c = abs(sf[n_deg - i])
-        if c:
-            exp = max(exp, -((c.bit_length() - an.bit_length() + 1) // -i))
-    bound = 1 << (1 + exp)
-    candidates = set()
-    for q_div in divisors(an):
-        for p_div in bounded_divisors(a0, bound * q_div):
-            frac = Fraction(p_div, q_div)
-            candidates.add(frac)
-            candidates.add(-frac)
-    # two modular filters knock out almost every false candidate cheaply
-    filters = []
-    for prime in (1000003, 2000003):
-        row = [int(c) % prime for c in sf]
-        filters.append((prime, row))
-
-    def passes(cand):
-        for prime, row in filters:
-            if cand.denominator % prime == 0:
-                continue
-            x = cand.numerator * pow(cand.denominator, -1, prime) % prime
-            acc = 0
-            for c in reversed(row):
-                acc = (acc * x + c) % prime
-            if acc:
-                return False
-        return True
-
-    for cand in sorted(candidates):
-        if cur.degree <= 0:
-            break
-        if not passes(cand):
-            continue
+        cur = cur[k:]
+    if len(cur) == 1:
+        return roots, Poly.const(1)
+    full = Poly(cur)
+    sf = full.divmod(full.gcd(full.derivative()))[0].primitive_int()
+    p = next(q for q in itertools.count(2) if is_probable_prime(q) and _squarefree_mod(sf, q))
+    xs = [x for x in range(p) if _horner(sf, x, p) == 0]
+    dsf = [i * c for i, c in enumerate(sf)][1:]
+    bound, m = abs(sf[0]), p
+    while m <= 2 * bound * abs(sf[-1]):
+        m *= m  # one Newton step doubles the p-adic precision
+        xs = [(x - _horner(sf, x, m) * pow(_horner(dsf, x, m), -1, m)) % m for x in xs]
+    for a in sorted({_reconstruct(x, m, bound) for x in xs}):
         mult = 0
-        factor = Poly.linear(cand)
-        while True:
-            q, r = cur.divmod(factor)
-            if not r.is_zero():
-                break
+        while (q := _divide_linear(cur, a.numerator, a.denominator)) is not None:
             cur, mult = q, mult + 1
         if mult:
-            roots.append((cand, mult))
-    return sorted(roots), cur.monic()
+            roots.append((a, mult))
+    return sorted(roots), Poly(cur).monic()
 
 
 def split_divisor(f):

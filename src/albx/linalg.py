@@ -11,6 +11,8 @@ entries, fixed column order) so repeated runs print identical output.
 from fractions import Fraction
 from math import gcd
 
+from .arith import common_denominator
+
 
 def _content(row):
     g = 0
@@ -35,11 +37,7 @@ def make_primitive(row):
 
 def clear_denominators(row):
     """Scale a row of rationals to a primitive integer row."""
-    lcm = 1
-    fr = [Fraction(x) for x in row]
-    for x in fr:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    return make_primitive([int(x * lcm) for x in fr])
+    return make_primitive(common_denominator(row)[0])
 
 
 def rational_kernel_basis(rows, ncols):

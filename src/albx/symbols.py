@@ -113,8 +113,7 @@ def residue_symbol(psi, f, p):
         return Fraction(0)
     v = val_at(psi, p)
     k = max(0, -v)
-    series = expand_at(psi, p, k + 1) * dlog(f, p, k + 1)
-    return series.residue()
+    return expand_at(psi, p, k + 1).product_coefficient(dlog(f, p, k + 1), -1)
 
 
 def _pole_places(f):

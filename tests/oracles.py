@@ -3,13 +3,17 @@
 Everything here recomputes results from raw configuration data with
 sympy row reduction (exhaustive row reduction for the integer side,
 dense pairing matrices for the Lie side).  No code is shared with the
-package's own elimination routines.
+package's own elimination routines.  The dense Fraction kernels at the
+end are the reference the integer polynomial and series kernels of
+funcfield are tested against.
 """
 
 from fractions import Fraction as F
 from math import gcd
 
 import sympy
+
+from albx.funcfield import LaurentSeries, Poly
 
 
 def oracle_formal_group(cfg):
@@ -105,3 +109,71 @@ def integer_combination(basis, target):
     if list(mat * sol) != list(sympy.Matrix(target)):
         return False
     return all(x.is_integer for x in sol)
+
+
+# --- dense Fraction kernels, the reference for funcfield's integer kernels ---
+
+
+def poly_mul_reference(a, b):
+    """a * b by the Fraction schoolbook product."""
+    if a.is_zero() or b.is_zero():
+        return Poly()
+    out = [F(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                out[i + j] += x * y
+    return Poly(out)
+
+
+def multiplicity_reference(poly, a):
+    """Order of vanishing at a by repeated Fraction division by t - a."""
+    m, cur = 0, poly
+    while True:
+        q, r = cur.divmod(Poly.linear(a))
+        if not r.is_zero():
+            return m
+        m, cur = m + 1, q
+
+
+def shifted_coefficients_reference(poly, a, upto):
+    """First upto+1 coefficients of p(a + u), one Horner division per coefficient."""
+    cs = list(poly.coeffs)
+    out = []
+    a = F(a)
+    for _ in range(upto + 1):
+        if not cs:
+            out.append(F(0))
+            continue
+        quotient = []
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
+            quotient.append(acc)
+            acc = c + a * acc
+        out.append(acc)
+        cs = list(reversed(quotient))
+    return out
+
+
+def series_inverse_reference(series):
+    """1/series as the Neumann series 1 - w + w^2 - ... of full products."""
+    if not series.coeffs:
+        raise ZeroDivisionError("cannot invert a series that is zero through truncation")
+    m = series.leading_exponent()
+    c = series.coeffs[m]
+    unit = series.shift(-m).scale(1 / c)
+    w = unit - 1
+    n = unit.truncation
+    acc = LaurentSeries(series.place, n, {0: 1})
+    term = LaurentSeries(series.place, n, {0: 1})
+    while True:
+        term = term * (-w)
+        if term.lead_bound() > n or term.is_zero():
+            break
+        acc = acc + term
+    return acc.scale(1 / c).shift(-m)
+
+
+def product_coefficient_reference(x, y, e):
+    """Coefficient e of the full product x * y."""
+    return (x * y).coefficient(e)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from albx.arith import bounded_divisors, divisors, factorint, format_rat, parse_rat
+from albx.arith import factorint, format_rat, parse_rat
 from albx.errors import InputError
 
 
@@ -31,14 +31,3 @@ def test_factorint_large_composite():
         prod *= p**e
     assert prod == n
 
-
-def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
-
-
-def test_bounded_divisors_prunes():
-    n = 2**40 * 3**30 * 5**20  # far too many divisors to enumerate fully
-    small = bounded_divisors(n, 30)
-    assert small == [1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30]
-    assert bounded_divisors(12, 0) == []

@@ -30,11 +30,12 @@ def curve_files(tmp_path_factory):
     return paths
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "albx.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -226,6 +227,46 @@ def test_symbol_reciprocity_table():
 def test_symbol_nonsplit_rejected():
     code, _, err = run_cli(["symbol", "--tag", "gm", "--psi", "t^2+1", "--f", "t"])
     assert code == 2
+
+
+# Inputs whose coefficients or degrees made divisor enumeration, Fraction
+# division or Neumann series inversion run for minutes; each now takes
+# about a second or less, and the timeout turns a regression into a failure.
+
+
+def test_symbol_nonsplit_with_semiprime_constant():
+    n = 10000000000000000012387 * 70000000000000000006819  # two 23-digit primes
+    code, out, err = run_cli(
+        ["symbol", "--tag", "gm", "--psi", f"t^2-{n}", "--f", "t-1"], timeout=60
+    )
+    assert code == 2 and out == ""
+    assert f"has an irrational factor t^2 + -{n}" in err
+
+
+def test_symbol_table_high_multiplicity():
+    code, out, _ = run_cli(
+        ["symbol", "--tag", "ga", "--psi", "(t-1)^300*(t+1)^300", "--f", "t-2", "--format", "json"],
+        timeout=60,
+    )
+    data = json.loads(out)
+    # psi is a polynomial: Res_a(psi df/f) = psi(a) ord_a(f), and Res_inf = -psi(2)
+    assert code == 0 and data["ok"] is True and data["aggregate"] == "0"
+    assert data["values"] == {
+        "C0:-1": "0",
+        "C0:1": "0",
+        "C0:2": str(3**300),
+        "C0:inf": str(-(3**300)),
+    }
+
+
+def test_symbol_table_high_degree():
+    code, out, _ = run_cli(
+        ["symbol", "--tag", "ga", "--psi", "t^2000", "--f", "t-2", "--format", "json"],
+        timeout=60,
+    )
+    data = json.loads(out)
+    assert code == 0 and data["ok"] is True and data["aggregate"] == "0"
+    assert data["values"] == {"C0:0": "0", "C0:2": str(2**2000), "C0:inf": str(-(2**2000))}
 
 
 # --- verify ----------------------------------------------------------------------------
