@@ -276,9 +276,8 @@ def cmd_verify(args):
             status = "PASS" if r.passed else "FAIL"
             tail = f" [{r.detail}]" if r.detail else ""
             sys.stdout.write(f"{status} {r.name} ({r.checks} checks){tail}\n")
-        sys.stdout.write(
-            f"{'PASS' if ok else 'FAIL'} overall ({len(results)} suites, {elapsed:.1f}s)\n"
-        )
+        sys.stdout.write(f"{'PASS' if ok else 'FAIL'} overall ({len(results)} suites)\n")
+        sys.stderr.write(f"verify: {elapsed:.1f}s\n")
     return 0 if ok else 1
 
 

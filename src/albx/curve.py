@@ -210,6 +210,8 @@ def _closure_span(sp, generators, truncation):
         for g in generators:
             for m in frontier:
                 prod = _tuple_product(g, m)
+                if all(s is None or s.lead_bound() > truncation for s in prod):
+                    continue  # zero modulo the truncation order
                 if span.add(series_tuple_vector(sp, truncation, prod)):
                     new_frontier.append(prod)
         frontier = new_frontier
@@ -310,9 +312,9 @@ def validate(config):
         span = _closure_span(sp, sp.generators, n)
         for i, q in enumerate(sp.branches):
             for e in range(sp.conductors[i] + 1, n + 1):
-                probe = [None] * len(sp.branches)
-                probe[i] = LaurentSeries.monomial(q, e, 1, n)
-                if not span.contains(series_tuple_vector(sp, n, probe)):
+                probe = [0] * span.ncols  # u^e on branch i
+                probe[i * n + e - 1] = 1
+                if not span.contains(probe):
                     raise ValidationError(
                         f"{sp.name}: conductor condition fails at branch {q!r}, "
                         f"u^{e} not generated"

@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals and the integers.
 
-There is one rational elimination (RowSpan, a reduced row echelon form
-maintained incrementally) and one integer elimination (hnf_rows, the
-row Hermite normal form).  Rational kernels are read off the reduced
-row space; integer (lattice) kernels come from Hermite reduction of
-[A^T | I].  All bases are canonicalized (Hermite form, positive leading
-entries, fixed column order) so repeated runs print identical output.
+There is one rational elimination (RowSpan, a sparse reduced row
+echelon form maintained incrementally) and one integer elimination
+(hnf_rows, the row Hermite normal form).  Rational kernels are read off
+the reduced row space; integer (lattice) kernels come from Hermite
+reduction of [A^T | I].  All bases are canonicalized (Hermite form,
+positive leading entries, fixed column order) so repeated runs print
+identical output.
 """
 
 from fractions import Fraction
@@ -59,51 +60,68 @@ def rational_kernel_basis(rows, ncols):
         x = [Fraction(0)] * ncols
         x[free] = Fraction(1)
         for p, row in span._rows.items():
-            x[p] = -row[free]
+            x[p] = -row.get(free, 0)
         basis.append(clear_denominators(x))
     return basis
 
 
+def _subtract(v, coef, row):
+    """v -= coef * row in place, on sparse rows {column: nonzero Fraction}."""
+    for c, b in row.items():
+        x = v.get(c, 0) - coef * b
+        if x:
+            v[c] = x
+        else:
+            del v[c]
+
+
 class RowSpan:
-    """Incrementally maintained reduced row space over Q."""
+    """Incrementally maintained reduced row space over Q, stored sparsely.
+
+    Rows are {column: nonzero Fraction} with pivot entry 1, fully reduced
+    (no row has a nonzero entry at another row's pivot), so reducing a
+    vector costs only the nonzeros of the rows whose pivots it touches.
+    """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self._rows = {}  # pivot column -> fully reduced row, pivot entry 1
+        self._rows = {}  # pivot column -> sparse row
 
     @property
     def rank(self):
         return len(self._rows)
 
-    def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for p, row in self._rows.items():
-            if v[p]:
-                coef = v[p]
-                v = [a - coef * b for a, b in zip(v, row)]
+    def _reduce(self, vec):
+        """Remainder of a dense vector modulo the span, as a sparse row."""
+        v = {i: Fraction(x) for i, x in enumerate(vec) if x}
+        # No row has an entry at another pivot, so each pivot in v's
+        # support is cleared exactly once, by its own row.
+        for p in [p for p in v if p in self._rows]:
+            _subtract(v, v[p], self._rows[p])
         return v
 
     def add(self, vec):
-        """Insert a vector; True iff it enlarged the span."""
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is None:
+        """Insert a dense vector; True iff it enlarged the span."""
+        v = self._reduce(vec)
+        if not v:
             return False
+        p = min(v)
         inv = v[p]
-        v = [x / inv for x in v]
-        for q, row in self._rows.items():
-            if row[p]:
-                coef = row[p]
-                self._rows[q] = [a - coef * b for a, b in zip(row, v)]
+        if inv != 1:
+            v = {c: x / inv for c, x in v.items()}
+        for row in self._rows.values():
+            if p in row:
+                _subtract(row, row[p], v)
         self._rows[p] = v
         return True
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not self._reduce(vec)
 
     def rows(self):
-        """Reduced basis rows ordered by pivot column (deterministic)."""
-        return [self._rows[p] for p in sorted(self._rows)]
+        """Dense reduced basis rows ordered by pivot column (deterministic)."""
+        zero, rows = Fraction(0), [self._rows[p] for p in sorted(self._rows)]
+        return [[row.get(c, zero) for c in range(self.ncols)] for row in rows]
 
 
 def integer_kernel_basis(rows, ncols):

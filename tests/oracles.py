@@ -5,7 +5,8 @@ sympy row reduction (exhaustive row reduction for the integer side,
 dense pairing matrices for the Lie side).  No code is shared with the
 package's own elimination routines.  The dense Fraction kernels at the
 end are the reference the integer polynomial and series kernels of
-funcfield are tested against.
+funcfield are tested against, and DenseRowSpan is the reference for the
+sparse RowSpan of linalg.
 """
 
 from fractions import Fraction as F
@@ -14,6 +15,32 @@ from math import gcd
 import sympy
 
 from albx.funcfield import LaurentSeries, Poly
+
+
+def jet_vector(tup, r, n):
+    """Flatten a branch tuple of {exponent: coeff} (None = 0) onto u^1..u^n per branch."""
+    out = [F(0)] * (r * n)
+    for i, series in enumerate(tup):
+        for e, c in (series or {}).items():
+            if e <= n:
+                out[i * n + e - 1] = c
+    return out
+
+
+def jet_product(t1, t2, n):
+    """Branchwise product of two branch tuples, truncated above u^n."""
+    out = []
+    for s1, s2 in zip(t1, t2):
+        if s1 is None or s2 is None:
+            out.append(None)
+            continue
+        prod = {}
+        for e1, c1 in s1.items():
+            for e2, c2 in s2.items():
+                if e1 + e2 <= n:
+                    prod[e1 + e2] = prod.get(e1 + e2, F(0)) + c1 * c2
+        out.append(prod)
+    return out
 
 
 def oracle_formal_group(cfg):
@@ -31,31 +58,6 @@ def oracle_formal_group(cfg):
     lie_vectors = []
     for sp in cfg.singular_points:
         r = len(sp.branches)
-
-        def vec(tup):
-            out = [F(0)] * (r * n)
-            for i, series in enumerate(tup):
-                if series is None:
-                    continue
-                for e, c in series.items():
-                    if e <= n:
-                        out[i * n + e - 1] = c
-            return out
-
-        def mul(t1, t2):
-            out = []
-            for s1, s2 in zip(t1, t2):
-                if s1 is None or s2 is None:
-                    out.append(None)
-                    continue
-                prod = {}
-                for e1, c1 in s1.items():
-                    for e2, c2 in s2.items():
-                        if e1 + e2 <= n:
-                            prod[e1 + e2] = prod.get(e1 + e2, F(0)) + c1 * c2
-                out.append(prod)
-            return out
-
         gens = [
             tuple(None if s is None else dict(s.coeffs) for s in tup)
             for tup in sp.generators
@@ -66,14 +68,14 @@ def oracle_formal_group(cfg):
             new = []
             for g in gens:
                 for m in frontier:
-                    prod = mul(g, m)
-                    mat = sympy.Matrix([vec(t) for t in closure])
-                    cand = sympy.Matrix([vec(prod)])
+                    prod = jet_product(g, m, n)
+                    mat = sympy.Matrix([jet_vector(t, r, n) for t in closure])
+                    cand = sympy.Matrix([jet_vector(prod, r, n)])
                     if mat.rank() < mat.col_join(cand).rank():
                         closure.append(prod)
                         new.append(prod)
             frontier = new
-        span_rows = [vec(t) for t in closure]
+        span_rows = [jet_vector(t, r, n) for t in closure]
         cols_sp = [(i, j) for i in range(r) for j in range(1, sp.conductors[i] + 1)]
         if not cols_sp:
             lie_dims.append(0)
@@ -177,3 +179,89 @@ def series_inverse_reference(series):
 def product_coefficient_reference(x, y, e):
     """Coefficient e of the full product x * y."""
     return (x * y).coefficient(e)
+
+
+# --- dense reduced row echelon form, the reference for linalg.RowSpan ---
+
+
+class DenseRowSpan:
+    """Incrementally maintained reduced row space over Q, dense Fraction rows."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self._rows = {}  # pivot column -> fully reduced row, pivot entry 1
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def reduce(self, vec):
+        v = [F(x) for x in vec]
+        for p, row in self._rows.items():
+            if v[p]:
+                coef = v[p]
+                v = [a - coef * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        """Insert a vector; True iff it enlarged the span."""
+        v = self.reduce(vec)
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        inv = v[p]
+        v = [x / inv for x in v]
+        for q, row in self._rows.items():
+            if row[p]:
+                coef = row[p]
+                self._rows[q] = [a - coef * b for a, b in zip(row, v)]
+        self._rows[p] = v
+        return True
+
+    def contains(self, vec):
+        return not any(self.reduce(vec))
+
+    def rows(self):
+        return [self._rows[p] for p in sorted(self._rows)]
+
+
+def rational_kernel_basis_reference(rows, ncols):
+    """Kernel basis read off DenseRowSpan: primitive, first nonzero entry > 0."""
+    span = DenseRowSpan(ncols)
+    for row in rows:
+        span.add(row)
+    basis = []
+    for free in range(ncols):
+        if free in span._rows:
+            continue
+        x = [F(0)] * ncols
+        x[free] = F(1)
+        for p, row in span._rows.items():
+            x[p] = -row[free]
+        x = as_primitive_int(x)
+        if next(c for c in x if c) < 0:
+            x = [-c for c in x]
+        basis.append(x)
+    return basis
+
+
+def dense_closure_rows(sp, truncation):
+    """Reduced rows of the span of all generator products of a validated point.
+
+    Every product is flattened to a dense vector and offered to
+    DenseRowSpan, including products that vanish modulo the truncation
+    order.
+    """
+    n, r = truncation, len(sp.branches)
+    gens = [tuple(None if s is None else dict(s.coeffs) for s in tup) for tup in sp.generators]
+    span = DenseRowSpan(r * n)
+    frontier = [g for g in gens if span.add(jet_vector(g, r, n))]
+    while frontier:
+        new = []
+        for g in gens:
+            for m in frontier:
+                prod = jet_product(g, m, n)
+                if span.add(jet_vector(prod, r, n)):
+                    new.append(prod)
+        frontier = new
+    return span.rows()

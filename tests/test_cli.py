@@ -5,10 +5,10 @@ import sys
 import pytest
 
 from albx.cli import main, parse_expression
-from albx.curve import config_to_json
+from albx.curve import CurveConfig, SingularPoint, config_to_json
 from albx.errors import InputError
 from albx.fixtures import cusp, node, tacnode
-from albx.funcfield import Place, RatFunc
+from albx.funcfield import INF, LaurentSeries, Place, RatFunc
 
 T = RatFunc.variable()
 
@@ -141,6 +141,35 @@ def test_analyze_deterministic(curve_files):
     _, out1, _ = run_cli(["analyze", curve_files["tacnode"], "--format", "json"])
     _, out2, _ = run_cli(["analyze", curve_files["tacnode"], "--format", "json"])
     assert out1 == out2
+
+
+def analyze_json(tmp_path, cfg):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(config_to_json(cfg)))
+    code, out, _ = run_cli(["analyze", str(path), "--format", "json"], timeout=60)
+    assert code == 0
+    return json.loads(out)
+
+
+def test_analyze_ordinary_64_fold_point(tmp_path):
+    branches = [Place("C0", k) for k in range(63)] + [Place("C0", INF)]
+    cfg = CurveConfig(["C0"], [SingularPoint("p", branches)], 2)
+    data = analyze_json(tmp_path, cfg)
+    assert (data["torus_rank"], data["vectorial_dim"]) == (63, 0)
+
+
+def test_analyze_tacnode_at_truncation_80(tmp_path):
+    n = 80
+    q1, q2 = Place("C0", 0), Place("C0", 1)
+    mono = LaurentSeries.monomial
+    gens = (
+        (mono(q1, 1, 1, n), mono(q2, 1, 1, n)),
+        (mono(q1, 2, 1, n), None),
+        (None, mono(q2, 2, 1, n)),
+    )
+    cfg = CurveConfig(["C0"], [SingularPoint("p", (q1, q2), "explicit", (1, 1), gens)], n)
+    data = analyze_json(tmp_path, cfg)
+    assert (data["torus_rank"], data["vectorial_dim"]) == (1, 1)
 
 
 # --- chow ------------------------------------------------------------------------
@@ -285,6 +314,16 @@ def test_verify_json_deterministic(curve_files):
     assert out1 == out2
     data = json.loads(out1)
     assert data["passed"] is True
+
+
+def test_verify_text_deterministic():
+    args = ["verify", "--trials", "5", "--seed", "2"]
+    code1, out1, err1 = run_cli(args)
+    code2, out2, _ = run_cli(args)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert out1.endswith("PASS overall (8 suites)\n")
+    assert err1.startswith("verify: ")
 
 
 def test_verify_flags_corrupt_curve(curve_files):
