@@ -15,7 +15,6 @@ from .curve import (
     SingularPoint,
     curve_from_modulus,
     degree_per_component,
-    pushforward_weil,
     validate,
 )
 from .chow import (
@@ -55,6 +54,6 @@ from .motive import (
     linear_group,
     one_motive,
 )
-from .symbols import Modulus, SymbolValue, is_modulus, reciprocity_check, residue_symbol, tame_symbol
+from .symbols import Modulus, is_modulus, reciprocity_check, residue_symbol, tame_symbol
 
 __version__ = "0.1.0"

@@ -7,6 +7,8 @@ the invariant suites).  Output is byte-deterministic given input, seed
 and format: JSON keys are sorted and rationals serialize as "a/b".
 
 Exit codes: 0 success, 1 a verify property failed, 2 bad input.
+Expressions nest at most MAX_DEPTH deep and raise no power past
+MAX_DEGREE; curve.validate bounds the truncation order.
 """
 
 import argparse
@@ -27,6 +29,8 @@ from .verify import run_verify
 # --- minimal arithmetic grammar over t -------------------------------------
 
 _TOKENS = set("+-*/^()")
+MAX_DEPTH = 100  # nesting of parentheses and unary minus signs
+MAX_DEGREE = 2048  # larger degree of a base times |exponent| after ^
 
 
 def _tokenize(text):
@@ -60,6 +64,16 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.component = component
+        self.depth = 0
+
+    def nested(self, parse):
+        """Run parse one nesting level deeper, refusing past MAX_DEPTH."""
+        if self.depth == MAX_DEPTH:
+            raise InputError(f"expression nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -101,7 +115,7 @@ class _Parser:
     def unary(self):
         if self.peek() == "-":
             self.take()
-            return -self.unary()
+            return -self.nested(self.unary)
         return self.power()
 
     def power(self):
@@ -117,6 +131,8 @@ class _Parser:
                 raise InputError("exponent must be an integer literal")
             if base.is_zero() and sign * exponent < 0:
                 raise InputError("negative power of zero")
+            if max(base.num.degree, base.den.degree) * exponent > MAX_DEGREE:
+                raise InputError(f"power of degree above {MAX_DEGREE}")
             return base ** (sign * exponent)
         return base
 
@@ -124,7 +140,7 @@ class _Parser:
         tok = self.peek()
         if tok == "(":
             self.take()
-            value = self.expr()
+            value = self.nested(self.expr)
             self.take(")")
             return value
         if tok == "t":

@@ -22,6 +22,8 @@ from .errors import InputError, ValidationError
 from .funcfield import LaurentSeries, Place, format_coordinate
 from .linalg import RowSpan
 
+MAX_TRUNCATION = 1024
+
 
 class Divisor:
     """Finite Z-combination of places of the smooth model."""
@@ -90,10 +92,6 @@ class Divisor:
             for p, m in self.items()
         ]
 
-    @classmethod
-    def from_json(cls, data):
-        return cls([(Place.from_json(entry), entry["coeff"]) for entry in data])
-
 
 def degree_per_component(D):
     """Sum of coefficients on each component appearing in the support."""
@@ -155,12 +153,6 @@ class CurveConfig:
 
     def branch_place_set(self):
         return {q for sp in self.singular_points for q in sp.branches}
-
-    def point_of_branch(self, place):
-        for sp in self.singular_points:
-            if place in sp.branches:
-                return sp
-        return None
 
     def mhat_span(self, name):
         """Reduced span of the maximal-ideal generators at a singular point."""
@@ -246,6 +238,8 @@ def validate(config):
         raise ValidationError("duplicate singular point names")
 
     n = config.truncation
+    if not 0 <= n <= MAX_TRUNCATION:
+        raise ValidationError(f"truncation {n} outside 0..{MAX_TRUNCATION}")
     seen_branches = set()
     new_points = []
     max_conductor = 0
@@ -322,20 +316,6 @@ def validate(config):
         spans[sp.name] = span
 
     return CurveConfig(config.components, new_points, n, validated=True, spans=spans)
-
-
-def pushforward_weil(D, config):
-    """Push a divisor on the smooth model down to the curve.
-
-    Branch places collapse to their singular point (keyed by name);
-    regular places map to themselves.
-    """
-    out = {}
-    for place, m in D.items():
-        sp = config.point_of_branch(place)
-        key = sp.name if sp is not None else place
-        out[key] = out.get(key, 0) + m
-    return {k: v for k, v in out.items() if v}
 
 
 def curve_from_modulus(points):

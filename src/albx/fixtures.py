@@ -21,17 +21,39 @@ def cusp():
     return validate(CurveConfig(["C0"], [sp], 3))
 
 
-def tacnode():
-    """Places 0 and 1 glued to first order: equal values and first jets."""
-    q1, q2 = Place("C0", 0), Place("C0", 1)
-    n = 3
+def tacnode_point(name, q1, q2, n):
+    """Places q1 and q2 glued to first order: equal values and first jets."""
+    mono = LaurentSeries.monomial
     gens = (
-        (LaurentSeries.monomial(q1, 1, 1, n), LaurentSeries.monomial(q2, 1, 1, n)),
-        (LaurentSeries.monomial(q1, 2, 1, n), None),
-        (None, LaurentSeries.monomial(q2, 2, 1, n)),
+        (mono(q1, 1, 1, n), mono(q2, 1, 1, n)),
+        (mono(q1, 2, 1, n), None),
+        (None, mono(q2, 2, 1, n)),
     )
-    sp = SingularPoint("p", (q1, q2), "explicit", (1, 1), gens)
-    return validate(CurveConfig(["C0"], [sp], n))
+    return SingularPoint(name, (q1, q2), "explicit", (1, 1), gens)
+
+
+def tacnode():
+    """Places 0 and 1 of one line glued to first order."""
+    sp = tacnode_point("p", Place("C0", 0), Place("C0", 1), 3)
+    return validate(CurveConfig(["C0"], [sp], 3))
+
+
+def line_chain(k, kinds):
+    """k lines, place 1 of line j glued to place 0 of line j + 1.
+
+    kinds names the gluings in order, each "ordinary" or "tacnode";
+    k - 1 of them make a chain, k a cycle whose last gluing closes it
+    back onto the first line.
+    """
+    comps = [f"L{j}" for j in range(k)]
+    points = []
+    for j, kind in enumerate(kinds):
+        q1, q2 = Place(comps[j], 1), Place(comps[(j + 1) % k], 0)
+        if kind == "tacnode":
+            points.append(tacnode_point(f"p{j}", q1, q2, 3))
+        else:
+            points.append(SingularPoint(f"p{j}", (q1, q2)))
+    return validate(CurveConfig(comps, points, 3))
 
 
 def rfold(r):

@@ -277,13 +277,6 @@ class Poly:
             m += 1
         return m
 
-    def to_json(self):
-        return [format_rat(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls([parse_rat(c) for c in data])
-
     def __repr__(self):
         if self.is_zero():
             return "0"
@@ -605,13 +598,6 @@ class LaurentSeries:
             )
         return LaurentSeries(self.place, n, self.coeffs)
 
-    def derivative(self):
-        return LaurentSeries(
-            self.place,
-            self.truncation - 1,
-            {e - 1: e * c for e, c in self.coeffs.items() if e},
-        )
-
     def inverse(self):
         if not self.coeffs:
             raise ZeroDivisionError("cannot invert a series that is zero through truncation")
@@ -624,40 +610,6 @@ class LaurentSeries:
         for k in range(1, n + 1):
             b.append(-sum((x * b[k - j] for j, x in w if j <= k), Fraction(0)))
         return LaurentSeries(self.place, n - m, {k - m: x / c for k, x in enumerate(b)})
-
-    def log1p(self):
-        """log(1 + u) for a series u of positive order, exact through truncation."""
-        if self.lead_bound() < 1:
-            raise ValueError("log1p needs a series with positive leading exponent")
-        n = self.truncation
-        acc = LaurentSeries.zero(self.place, n)
-        term = LaurentSeries(self.place, n, {0: 1})
-        k = 0
-        while True:
-            term = term * self
-            k += 1
-            if term.lead_bound() > n or term.is_zero():
-                break
-            acc = acc + term.scale(Fraction((-1) ** (k - 1), k))
-        return acc
-
-    def exp(self):
-        """exp(u) - includes the constant term 1."""
-        if self.lead_bound() < 1:
-            raise ValueError("exp needs a series with positive leading exponent")
-        n = self.truncation
-        acc = LaurentSeries(self.place, n, {0: 1})
-        term = LaurentSeries(self.place, n, {0: 1})
-        fact = 1
-        k = 0
-        while True:
-            term = term * self
-            k += 1
-            fact *= k
-            if term.lead_bound() > n or term.is_zero():
-                break
-            acc = acc + term.scale(Fraction(1, fact))
-        return acc
 
     def to_json(self):
         return {str(e): format_rat(c) for e, c in self.coeffs.items()}

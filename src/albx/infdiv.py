@@ -61,27 +61,6 @@ class InfinitesimalDivisor:
     def __eq__(self, other):
         return isinstance(other, InfinitesimalDivisor) and self.parts == other.parts
 
-    def __add__(self, other):
-        out = {p: dict(s.coeffs) for p, s in self.parts.items()}
-        for p, s in other.parts.items():
-            tgt = out.setdefault(p, {})
-            for e, c in s.coeffs.items():
-                tgt[e] = tgt.get(e, Fraction(0)) + c
-        return InfinitesimalDivisor(
-            {p: LaurentSeries(p, -1, cs) for p, cs in out.items()}
-        )
-
-    def scale(self, c):
-        return InfinitesimalDivisor(
-            {p: s.scale(c) for p, s in self.parts.items()}
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __repr__(self):
         if not self.parts:
             return "InfinitesimalDivisor(0)"

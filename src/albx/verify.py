@@ -18,13 +18,13 @@ from .chow import (
     interpolate_divisor,
     rationally_equivalent,
 )
-from .curve import Divisor, validate
+from .curve import validate
 from .errors import AlbxError, ValidationError
-from .fixtures import modulus_curve, zoo
+from .fixtures import line_chain, modulus_curve, zoo
 from .funcfield import INF, LaurentSeries, Place, dlog, expand_at, residue, split_divisor, val_at
-from .infdiv import FormalGroupData, InfinitesimalDivisor, divisor_group, residue_pairing
+from .infdiv import divisor_group, residue_pairing
 from .linalg import rational_kernel_basis
-from .motive import OneMotive, albanese, double_dual_check, one_motive
+from .motive import albanese
 from .sampling import (
     CartierUnitSampler,
     random_rational,
@@ -71,10 +71,6 @@ def suite_series(trials, seed):
         if prod.coeffs != expand_at(f * g, p, prod.truncation).coeffs:
             return SuiteResult("series", False, checks, "expansion not multiplicative")
         checks += 1
-        u = LaurentSeries(p, 6, {1: random_rational(rng, 6, nonzero=True), 2: random_rational(rng, 6)})
-        if (u.exp() - 1).log1p().coeffs != u.coeffs:
-            return SuiteResult("series", False, checks, "exp/log not inverse")
-        checks += 1
     return SuiteResult("series", True, checks)
 
 
@@ -110,6 +106,18 @@ def suite_reciprocity(trials, seed):
     return SuiteResult("reciprocity", True, checks)
 
 
+def _random_modulus(rng):
+    """Seeded modulus on C0: one to four places, infinity among them at times."""
+    npts = rng.randint(1, 4)
+    coords = set()
+    while len(coords) < npts:
+        if rng.random() < 0.2:
+            coords.add(INF)
+        else:
+            coords.add(random_rational(rng, 6))
+    return [(Place("C0", c), rng.randint(1, 4)) for c in sorted(coords, key=str)]
+
+
 def suite_kernels(trials, seed):
     """Formal group shapes of the zoo and the modulus dimension formula."""
     rng = random.Random(seed)
@@ -127,16 +135,8 @@ def suite_kernels(trials, seed):
             return SuiteResult("kernels", False, checks, f"{name}: {(g.rank, g.dim)}")
         checks += 1
     for _ in range(trials):
-        npts = rng.randint(1, 4)
-        coords = set()
-        while len(coords) < npts:
-            if rng.random() < 0.2:
-                coords.add(INF)
-            else:
-                coords.add(random_rational(rng, 6))
-        points = [(Place("C0", c), rng.randint(1, 4)) for c in sorted(coords, key=str)]
-        cfg = modulus_curve(points)
-        g = divisor_group(cfg)
+        points = _random_modulus(rng)
+        g = divisor_group(modulus_curve(points))
         want_rank = len(points) - 1
         want_dim = sum(n - 1 for _, n in points)
         if (g.rank, g.dim) != (want_rank, want_dim):
@@ -147,37 +147,53 @@ def suite_kernels(trials, seed):
     return SuiteResult("kernels", True, checks)
 
 
-def _synthetic_motive(rng, tmax=5, vmax=5):
-    t = rng.randint(0, tmax)
-    v = rng.randint(0, vmax)
-    places = [Place("C0", k) for k in range(t + 1)]
-    etale = tuple(
-        Divisor({places[i + 1]: 1, places[0]: -1}) for i in range(t)
+def genus_defect(config, formal):
+    """How formal breaks the genus formula of a validated config; "" if it holds.
+
+    Both sides are counted without the kernels (Serre, Algebraic Groups
+    and Class Fields, ch. IV-V).  The lattice rank is b1 of the dual
+    graph, whose vertices are the components and singular points and
+    whose edges are the branches.  The Lie dimension is the sum over
+    singular points p of r_p N - rank m_p, the jets u^1..u^N on the r_p
+    branches that the maximal ideal m_p misses.
+    """
+    linked = {c: {c} for c in config.components}  # components joined so far
+    for sp in config.singular_points:
+        joined = set().union(*(linked[q.component] for q in sp.branches))
+        linked.update(dict.fromkeys(joined, joined))
+    connected = len({min(group) for group in linked.values()})
+    branches = sum(len(sp.branches) for sp in config.singular_points)
+    b1 = branches - len(config.singular_points) - len(config.components) + connected
+    n = config.truncation
+    gaps = sum(
+        len(sp.branches) * n - config.mhat_span(sp.name).rank
+        for sp in config.singular_points
     )
-    lie = tuple(
-        InfinitesimalDivisor(
-            {
-                Place("C0", 100 + i): LaurentSeries(
-                    Place("C0", 100 + i), -1, {-1: random_rational(rng, 5, nonzero=True)}
-                )
-            }
-        )
-        for i in range(v)
-    )
-    return OneMotive(FormalGroupData(etale, lie))
+    defects = []
+    if formal.rank != b1:
+        defects.append(f"lattice rank {formal.rank}, b1 {b1}")
+    if formal.dim != gaps:
+        defects.append(f"lie dimension {formal.dim}, jet gaps {gaps}")
+    return "; ".join(defects)
 
 
 def suite_duality(trials, seed):
-    """Double dual is the identity on zoo motives and random shapes."""
+    """The dual motive's torus rank and vector dimension obey the genus
+    formula on the zoo, seeded moduli, and seeded chains and cycles of lines."""
     rng = random.Random(seed)
-    checks = 0
-    for name, cfg in zoo().items():
-        if not double_dual_check(one_motive(cfg)):
-            return SuiteResult("duality", False, checks, name)
-        checks += 1
+    curves = list(zoo().items())
     for _ in range(trials):
-        if not double_dual_check(_synthetic_motive(rng)):
-            return SuiteResult("duality", False, checks, "synthetic motive")
+        points = _random_modulus(rng)
+        curves.append((f"modulus {points}", modulus_curve(points)))
+        for cycle in (0, 1):
+            k = rng.randint(1, 5)
+            kinds = [rng.choice(("ordinary", "tacnode")) for _ in range(k - 1 + cycle)]
+            curves.append((f"{k} lines glued {kinds}", line_chain(k, kinds)))
+    checks = 0
+    for name, cfg in curves:
+        defect = genus_defect(cfg, divisor_group(cfg))
+        if defect:
+            return SuiteResult("duality", False, checks, f"{name}: {defect}")
         checks += 1
     return SuiteResult("duality", True, checks)
 
@@ -245,19 +261,10 @@ def suite_modulus_equivalence(trials, seed):
             aj = albanese_pairing({"C0": f}, alb)
             # congruence test: equal values across the support and jets
             # vanishing below each multiplicity
-            values = {q: expand_at(f, q, max(n for _, n in points)) for q, n in points}
-            base = None
-            congruent = True
-            for (q, n) in points:
-                series = values[q]
-                v0 = series.coefficient(0)
-                if base is None:
-                    base = v0
-                elif v0 != base:
-                    congruent = False
-                for e in range(1, n):
-                    if series.coefficient(e) != 0:
-                        congruent = False
+            jets = [(expand_at(f, q, n), n) for q, n in points]
+            congruent = len({s.coefficient(0) for s, _ in jets}) == 1 and not any(
+                s.coefficient(e) for s, n in jets for e in range(1, n)
+            )
             verdict = rationally_equivalent(cycle, cfg, alb)
             if verdict != congruent or verdict != aj.is_identity():
                 return SuiteResult(
@@ -268,7 +275,7 @@ def suite_modulus_equivalence(trials, seed):
 
 
 def suite_config(config, trials, seed):
-    """Config-specific checks: validation, unit kernel, scaling."""
+    """Config-specific checks: validation, unit kernel, scaling, genus formula."""
     try:
         cfg = validate(config)
     except ValidationError as exc:
@@ -278,6 +285,8 @@ def suite_config(config, trials, seed):
         r = suite(max(1, trials // 10), seed, [("input", cfg)])
         r.name = "input_" + r.name
         results.append(r)
+    defect = genus_defect(cfg, divisor_group(cfg))
+    results.append(SuiteResult("input_duality", not defect, 1, defect))
     return results
 
 

@@ -6,7 +6,9 @@ dense pairing matrices for the Lie side).  No code is shared with the
 package's own elimination routines.  The dense Fraction kernels at the
 end are the reference the integer polynomial and series kernels of
 funcfield are tested against, and DenseRowSpan is the reference for the
-sparse RowSpan of linalg.
+sparse RowSpan of linalg.  random_congruent_function and
+symbol_sum_over_divisor make the randomized certificate that the local
+modulus criterion of symbols.is_modulus is tested against.
 """
 
 from fractions import Fraction as F
@@ -14,7 +16,8 @@ from math import gcd
 
 import sympy
 
-from albx.funcfield import LaurentSeries, Poly
+from albx.funcfield import LaurentSeries, Poly, RatFunc, split_divisor
+from albx.symbols import residue_symbol, tame_symbol
 
 
 def jet_vector(tup, r, n):
@@ -265,3 +268,54 @@ def dense_closure_rows(sp, truncation):
                     new.append(prod)
         frontier = new
     return span.rows()
+
+
+# --- the modulus certificate, the reference for symbols.is_modulus -----------
+
+
+def random_congruent_function(modulus, rng, component="C0", degree=3, height=5):
+    """Seeded random f with f congruent to 1 along the modulus.
+
+    Built as 1 + g * prod (t-s)^(n_s) for a random small-height
+    polynomial g; when infinity carries multiplicity the product is
+    divided down by a power of a fresh linear factor so the congruence
+    holds there too.
+    """
+    coeffs = [F(rng.randint(-height, height)) for _ in range(degree + 1)]
+    if not any(coeffs):
+        coeffs[rng.randrange(len(coeffs))] = F(rng.randint(1, height))
+    g = Poly(coeffs)
+    finite = Poly.const(1)
+    n_inf = 0
+    taken = set()
+    for p in modulus.places():
+        if p.is_infinite():
+            n_inf = modulus.multiplicity(p)
+            continue
+        taken.add(p.coordinate)
+        finite = finite * Poly.linear(p.coordinate) ** modulus.multiplicity(p)
+    num = g * finite
+    if n_inf:
+        b = F(rng.randint(height + 1, 3 * height + 10))
+        while b in taken:
+            b += 1
+        den = Poly.linear(b) ** (num.degree + n_inf)
+        return RatFunc(num, den, component) + 1
+    return RatFunc(num, None, component) + 1
+
+
+def symbol_sum_over_divisor(psi, f, tag):
+    """psi evaluated on div(f), computed through the bad-place symbols.
+
+    Reciprocity turns the sum over the (possibly irrational) support of
+    div(f) into a finite exact computation at the rational bad places of
+    psi: poles for the additive symbol, zeros and poles for the
+    multiplicative one.  psi must split; f need not.
+    """
+    bad = split_divisor(psi)
+    if tag == "ga":
+        return -sum((residue_symbol(psi, f, s) for s, m in bad.items() if m < 0), F(0))
+    total = F(1)
+    for s in bad:
+        total /= tame_symbol(psi, f, s)
+    return total

@@ -7,8 +7,8 @@ import pytest
 from albx.cli import main, parse_expression
 from albx.curve import CurveConfig, SingularPoint, config_to_json
 from albx.errors import InputError
-from albx.fixtures import cusp, node, tacnode
-from albx.funcfield import INF, LaurentSeries, Place, RatFunc
+from albx.fixtures import cusp, node, tacnode, tacnode_point
+from albx.funcfield import INF, Place, RatFunc
 
 T = RatFunc.variable()
 
@@ -57,6 +57,35 @@ def test_parse_expression():
         parse_expression("0*t")
     with pytest.raises(InputError):
         parse_expression("1/(t-t)")
+
+
+def test_parse_expression_limits():
+    assert parse_expression("(" * 100 + "t" + ")" * 100) == T
+    assert parse_expression("-" * 100 + "t") == T
+    assert parse_expression("(t^2)^1024") == T**2048
+    assert parse_expression("1/(1/t^2)^-1024") == T**-2048
+    for text in ("(" * 101 + "t" + ")" * 101, "-" * 101 + "t", "-(" * 51 + "t" + ")" * 51):
+        with pytest.raises(InputError, match="nested"):
+            parse_expression(text)
+    for text in ("t^2049", "(t^2-1)^1025", "(1/t^2)^-1025"):
+        with pytest.raises(InputError, match="degree"):
+            parse_expression(text)
+
+
+@pytest.mark.parametrize(
+    "psi", ["(" * 200 + "t" + ")" * 200, "-" * 1500 + "t"], ids=["parens", "minus"]
+)
+def test_symbol_deep_nesting_exits_2(psi):
+    code, out, err = run_cli(["symbol", "--tag", "gm", "--psi=" + psi, "--f", "t-1"])
+    assert code == 2 and out == ""
+    assert "nested deeper than 100" in err and "Traceback" not in err
+
+
+def test_symbol_huge_power_exits_2():
+    args = ["symbol", "--tag", "ga", "--psi", "(t-1)^200000", "--f", "t"]
+    code, out, err = run_cli(args, timeout=60)
+    assert code == 2 and out == ""
+    assert "degree above 2048" in err
 
 
 # --- analyze --------------------------------------------------------------------
@@ -159,17 +188,20 @@ def test_analyze_ordinary_64_fold_point(tmp_path):
 
 
 def test_analyze_tacnode_at_truncation_80(tmp_path):
-    n = 80
-    q1, q2 = Place("C0", 0), Place("C0", 1)
-    mono = LaurentSeries.monomial
-    gens = (
-        (mono(q1, 1, 1, n), mono(q2, 1, 1, n)),
-        (mono(q1, 2, 1, n), None),
-        (None, mono(q2, 2, 1, n)),
-    )
-    cfg = CurveConfig(["C0"], [SingularPoint("p", (q1, q2), "explicit", (1, 1), gens)], n)
-    data = analyze_json(tmp_path, cfg)
+    sp = tacnode_point("p", Place("C0", 0), Place("C0", 1), 80)
+    data = analyze_json(tmp_path, CurveConfig(["C0"], [sp], 80))
     assert (data["torus_rank"], data["vectorial_dim"]) == (1, 1)
+
+
+@pytest.mark.parametrize("n", [-3, 20_000_000])
+def test_analyze_rejects_truncation_out_of_range(tmp_path, n):
+    path = tmp_path / "curve.json"
+    data = config_to_json(node())
+    data["truncation"] = n
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["analyze", str(path)], timeout=60)
+    assert code == 2 and out == ""
+    assert f"truncation {n} outside 0..1024" in err
 
 
 # --- chow ------------------------------------------------------------------------

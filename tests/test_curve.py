@@ -11,7 +11,6 @@ from albx.curve import (
     config_to_json,
     curve_from_modulus,
     degree_per_component,
-    pushforward_weil,
     validate,
 )
 from albx.errors import InputError, ValidationError
@@ -73,35 +72,6 @@ def test_unknown_component_rejected():
 
 def test_validate_idempotent(node):
     assert validate(node) is node
-
-
-# --- push-forward ---------------------------------------------------------------
-
-
-def test_pushforward_collapses_node_fiber(node):
-    d = Divisor({place(0): 1, place(INF): -1})
-    assert pushforward_weil(d, node) == {}
-
-
-def test_pushforward_fixes_regular_places(node):
-    d = Divisor({place(2): 1, place(3): -1})
-    assert pushforward_weil(d, node) == {place(2): 1, place(3): -1}
-
-
-def test_pushforward_adds_coefficients(node):
-    d = Divisor({place(0): 1, place(INF): 1, place(1): -2})
-    assert pushforward_weil(d, node) == {"p": 2, place(1): -2}
-
-
-def test_pushforward_is_additive(node):
-    d1 = Divisor({place(0): 2, place(5): 1})
-    d2 = Divisor({place(INF): -1, place(5): 3})
-    lhs = pushforward_weil(d1 + d2, node)
-    rhs = {}
-    for part in (pushforward_weil(d1, node), pushforward_weil(d2, node)):
-        for k, v in part.items():
-            rhs[k] = rhs.get(k, 0) + v
-    assert lhs == {k: v for k, v in rhs.items() if v}
 
 
 # --- degrees ---------------------------------------------------------------------

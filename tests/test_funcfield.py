@@ -178,29 +178,12 @@ def test_series_mul_truncation_rule():
     assert (a * c).truncation == 4  # min(3 + 4, 3 + 1): zero-through-truncation bound
 
 
-def test_series_derivative():
-    s = LaurentSeries(P0, 3, {-2: F(1), 0: 5, 2: F(1, 2)})
-    assert s.derivative().coeffs == {-3: F(-2), 1: F(1)}
-    assert s.derivative().truncation == 2
-
-
 def test_series_inverse():
     s = expand_at(T - 1, P0, 4)
     inv = s.inverse()
     prod = s * inv
     assert prod.coefficient(0) == 1
     assert all(prod.coefficient(e) == 0 for e in range(1, prod.truncation + 1))
-
-
-def test_exp_log_inverse_pair():
-    u = LaurentSeries(P0, 6, {1: F(2), 3: F(-1, 3)})
-    assert (u.exp() - 1).log1p().coeffs == u.coeffs
-    assert u.log1p().exp().coeffs == (u + 1).coeffs
-
-
-def test_log_requires_positive_order():
-    with pytest.raises(ValueError):
-        LaurentSeries(P0, 2, {0: 1}).log1p()
 
 
 # --- roots and divisors --------------------------------------------------------
@@ -283,12 +266,3 @@ def test_expansion_is_multiplicative(z1, z2, at, order):
     prod = expand_at(f, p, order) * expand_at(g, p, order)
     direct = expand_at(f * g, p, prod.truncation)
     assert prod.coeffs == direct.coeffs
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    coeffs=st.lists(rationals, min_size=1, max_size=4),
-)
-def test_exp_log_roundtrip(coeffs):
-    u = LaurentSeries(P0, len(coeffs) + 2, {i + 1: c for i, c in enumerate(coeffs)})
-    assert (u.exp() - 1).log1p().coeffs == u.coeffs

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import random
 
 from albx.curve import CurveConfig, SingularPoint, curve_from_modulus, validate
-from albx.fixtures import zoo
+from albx.fixtures import tacnode_point, zoo
 from albx.funcfield import INF, LaurentSeries, Place
 from albx.linalg import RowSpan, rational_kernel_basis
 from oracles import DenseRowSpan, dense_closure_rows, rational_kernel_basis_reference
@@ -95,12 +95,7 @@ def _explicit(kind, n):
         gens = ((mono(q1, 2, 1, n),), (mono(q1, 3, 1, n),))
         sp = SingularPoint("p", (q1,), "explicit", (1,), gens)
     else:
-        gens = (
-            (mono(q1, 1, 1, n), mono(q2, 1, 1, n)),
-            (mono(q1, 2, 1, n), None),
-            (None, mono(q2, 2, 1, n)),
-        )
-        sp = SingularPoint("p", (q1, q2), "explicit", (1, 1), gens)
+        sp = tacnode_point("p", q1, q2, n)
     return CurveConfig(["C0"], [sp], n)
 
 

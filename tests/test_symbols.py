@@ -8,14 +8,12 @@ from albx.funcfield import INF, Place, Poly, RatFunc, val_at
 from albx.sampling import random_split_pair, random_split_ratfunc
 from albx.symbols import (
     Modulus,
-    SymbolValue,
     is_modulus,
-    random_congruent_function,
     reciprocity_check,
     residue_symbol,
-    symbol_sum_over_divisor,
     tame_symbol,
 )
+from oracles import random_congruent_function, symbol_sum_over_divisor
 
 T = RatFunc.variable()
 ONE = RatFunc.constant(1)
@@ -128,14 +126,59 @@ def test_reciprocity_rejects_nonsplit():
 
 def test_is_modulus_examples():
     psi = ONE / T
-    assert is_modulus(psi, Modulus({P0: 2}), "ga", rng=random.Random(0))
-    assert not is_modulus(psi, Modulus({P0: 1}), "ga", rng=random.Random(0))
-    assert is_modulus(RatFunc.constant(3), Modulus(), "gm", rng=random.Random(0))
+    assert is_modulus(psi, Modulus({P0: 2}), "ga")
+    assert not is_modulus(psi, Modulus({P0: 1}), "ga")
+    assert is_modulus(RatFunc.constant(3), Modulus(), "gm")
 
 
 def test_is_modulus_gm_needs_support():
     with pytest.raises(InputError):
-        is_modulus(T, Modulus({P1: 1}), "gm", rng=random.Random(0))
+        is_modulus(T, Modulus({P1: 1}), "gm")
+
+
+def random_modulus_case(rng):
+    """Seeded (psi, modulus, tag) with psi split and singular only on the support."""
+    tag = rng.choice(("gm", "ga"))
+    finite = [Place("C0", F(c)) for c in rng.sample(range(-4, 5), rng.randint(1, 3))]
+    places = finite + ([PINF] if rng.random() < 0.4 else [])
+    modulus = Modulus({p: rng.randint(1, 3) for p in places})
+    psi = RatFunc.constant(rng.choice((-3, -1, 2, 5)))
+    if tag == "gm":
+        exps = [rng.randint(-3, 3) for _ in finite]
+        if PINF not in places:
+            exps[-1] = -sum(exps[:-1])  # no zero or pole at infinity
+        for p, e in zip(finite, exps):
+            psi = psi * (T - p.coordinate) ** e
+        return psi, modulus, tag
+    den_degree = 0
+    for p in finite:
+        k = rng.randint(0, 3)
+        psi = psi / (T - p.coordinate) ** k
+        den_degree += k
+    top = den_degree + (rng.randint(0, 3) if PINF in places else 0)
+    for _ in range(rng.randint(0, top)):
+        psi = psi * (T - rng.randint(-6, 6))
+    return psi, modulus, tag
+
+
+def test_is_modulus_matches_certificate():
+    # the local criterion is necessary and sufficient, so it agrees with
+    # psi(div f) on seeded f congruent to 1 along the modulus
+    rng = random.Random(7)
+    refuted, tags, with_inf = 0, set(), 0
+    for _ in range(320):
+        psi, modulus, tag = random_modulus_case(rng)
+        identity = 1 if tag == "gm" else 0
+        certified = all(
+            symbol_sum_over_divisor(psi, random_congruent_function(modulus, rng), tag)
+            == identity
+            for _ in range(3)
+        )
+        assert is_modulus(psi, modulus, tag) == certified, (psi, modulus, tag)
+        refuted += not certified
+        tags.add(tag)
+        with_inf += modulus.multiplicity(PINF) > 0
+    assert refuted >= 50 and tags == {"gm", "ga"} and with_inf >= 50
 
 
 def test_is_modulus_counterexample_direct():
@@ -148,7 +191,7 @@ def test_modulus_vanishing_randomized():
     rng = random.Random(4)
     psi = (T + 1) / (T**2 * (T - 1))
     mod = Modulus({P0: 3, P1: 2})
-    assert is_modulus(psi, mod, "ga", trials=30, rng=random.Random(0))
+    assert is_modulus(psi, mod, "ga")
     for _ in range(40):
         f = random_congruent_function(mod, rng)
         assert symbol_sum_over_divisor(psi, f, "ga") == 0
@@ -157,7 +200,7 @@ def test_modulus_vanishing_randomized():
 def test_modulus_with_infinity():
     # psi = t has a simple pole at infinity
     mod = Modulus({PINF: 2, P0: 1})
-    assert is_modulus(T, mod, "ga", rng=random.Random(0))
+    assert is_modulus(T, mod, "ga")
     rng = random.Random(5)
     for _ in range(20):
         f = random_congruent_function(mod, rng)
@@ -170,19 +213,10 @@ def test_gm_modulus_always_sufficient():
     rng = random.Random(6)
     psi = T * (T - 1) / (T + 2)
     mod = Modulus({P0: 1, P1: 1, Place("C0", -2): 1, PINF: 1})
-    assert is_modulus(psi, mod, "gm", trials=30, rng=random.Random(0))
+    assert is_modulus(psi, mod, "gm")
     for _ in range(30):
         f = random_congruent_function(mod, rng)
         assert symbol_sum_over_divisor(psi, f, "gm") == 1
-
-
-def test_symbol_value_type():
-    v = SymbolValue("gm", F(2, 3))
-    assert v.tag == "gm" and v.value == F(2, 3)
-    with pytest.raises(ValueError):
-        SymbolValue("gm", 0)
-    with pytest.raises(InputError):
-        SymbolValue("gl", 1)
 
 
 def test_modulus_type_guards():

@@ -1,9 +1,11 @@
 import pytest
 
 from albx.curve import CurveConfig, SingularPoint
-from albx.fixtures import cusp
+from albx.fixtures import cusp, line_chain
 from albx.funcfield import LaurentSeries, Place
+from albx.infdiv import FormalGroupData, divisor_group
 from albx.verify import (
+    genus_defect,
     run_verify,
     suite_aj_kernel,
     suite_config,
@@ -68,4 +70,39 @@ def test_suite_config_reports_validation_failure():
 def test_suite_config_on_valid_curve():
     results = suite_config(cusp(), trials=10, seed=0)
     assert all(r.passed for r in results)
-    assert [r.name for r in results] == ["validate", "input_aj_kernel", "input_scaling"]
+    assert [r.name for r in results] == [
+        "validate",
+        "input_aj_kernel",
+        "input_scaling",
+        "input_duality",
+    ]
+
+
+def test_genus_check_fails_on_a_dropped_basis_vector(whole_zoo):
+    dropped = 0
+    for name, cfg in whole_zoo.items():
+        g = divisor_group(cfg)
+        assert genus_defect(cfg, g) == "", name
+        if g.dim:
+            short = FormalGroupData(g.etale_basis, g.lie_basis[:-1])
+            assert "lie dimension" in genus_defect(cfg, short), name
+            dropped += 1
+        if g.rank:
+            short = FormalGroupData(g.etale_basis[:-1], g.lie_basis)
+            assert "lattice rank" in genus_defect(cfg, short), name
+            dropped += 1
+    assert dropped == 6  # cusp and tacnode Lie parts, four lattices
+
+
+def test_genus_formula_on_chains_and_cycles():
+    for k, kinds, shape in (
+        (1, [], (0, 0)),
+        (1, ["ordinary"], (1, 0)),
+        (1, ["tacnode"], (1, 1)),
+        (3, ["ordinary", "tacnode"], (0, 1)),
+        (3, ["tacnode", "ordinary", "tacnode"], (1, 2)),
+    ):
+        cfg = line_chain(k, kinds)
+        g = divisor_group(cfg)
+        assert (g.rank, g.dim) == shape, kinds
+        assert genus_defect(cfg, g) == ""
