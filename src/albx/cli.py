@@ -8,14 +8,14 @@ and format: JSON keys are sorted and rationals serialize as "a/b".
 
 Exit codes: 0 success, 1 a verify property failed, 2 bad input.
 Expressions nest at most MAX_DEPTH deep and raise no power past
-MAX_DEGREE; curve.validate bounds the truncation order.
+MAX_DEGREE or MAX_HEIGHT; curve.validate bounds the truncation order.
 """
 
 import argparse
 import json
 import sys
 
-from .arith import format_rat
+from .arith import common_denominator, format_rat
 from .chow import ZeroCycle, abel_jacobi
 from .curve import config_to_json, degree_per_component, load_config, validate
 from .errors import AlbxError, InputError
@@ -31,6 +31,17 @@ from .verify import run_verify
 _TOKENS = set("+-*/^()")
 MAX_DEPTH = 100  # nesting of parentheses and unary minus signs
 MAX_DEGREE = 2048  # larger degree of a base times |exponent| after ^
+MAX_HEIGHT = 2**16  # coefficient bits of a ^ result, bounded before it is formed
+
+
+def _height_bits(poly):
+    """n * _height_bits(p) bounds the bits of every coefficient of p^n.
+
+    With p = a / d, a integral, each coefficient of a^n is at most the
+    n-th power of a's l1 norm, and the denominator is d^n.
+    """
+    ints, d = common_denominator(poly.coeffs)
+    return max(sum(map(abs, ints)).bit_length(), d.bit_length())
 
 
 def _tokenize(text):
@@ -133,6 +144,8 @@ class _Parser:
                 raise InputError("negative power of zero")
             if max(base.num.degree, base.den.degree) * exponent > MAX_DEGREE:
                 raise InputError(f"power of degree above {MAX_DEGREE}")
+            if max(_height_bits(base.num), _height_bits(base.den)) * exponent > MAX_HEIGHT:
+                raise InputError(f"power of coefficient height above {MAX_HEIGHT} bits")
             return base ** (sign * exponent)
         return base
 

@@ -190,22 +190,31 @@ def _tuple_product(a, b):
     return out
 
 
+def _support(tup):
+    """Branches on which a branch tuple is nonzero."""
+    return frozenset(i for i, s in enumerate(tup) if s is not None and s.coeffs)
+
+
 def _closure_span(sp, generators, truncation):
-    """Span of all products of generators, modulo the truncation order."""
+    """Span of all products of generators, modulo the truncation order.
+
+    A product is zero unless its factors are nonzero on a shared branch,
+    so an ordinary r-fold point forms r products per round, not r^2.
+    """
     span = RowSpan(len(sp.branches) * truncation)
-    frontier = []
-    for g in generators:
-        if span.add(series_tuple_vector(sp, truncation, g)):
-            frontier.append(g)
+    gens = [(g, _support(g)) for g in generators]
+    frontier = [(g, on) for g, on in gens if span.add(series_tuple_vector(sp, truncation, g))]
     while frontier:
         new_frontier = []
-        for g in generators:
-            for m in frontier:
+        for g, g_on in gens:
+            for m, m_on in frontier:
+                if g_on.isdisjoint(m_on):
+                    continue
                 prod = _tuple_product(g, m)
                 if all(s is None or s.lead_bound() > truncation for s in prod):
                     continue  # zero modulo the truncation order
                 if span.add(series_tuple_vector(sp, truncation, prod)):
-                    new_frontier.append(prod)
+                    new_frontier.append((prod, _support(prod)))
         frontier = new_frontier
     return span
 

@@ -16,10 +16,11 @@ Design choices worth knowing:
   * the residue at infinity folds in dt = -s^(-2) ds, so
     residue(dlog(f, p)) equals the valuation of f at p at every place
     including infinity,
-  * products, multiplicities and Taylor shifts of polynomials run on
-    integer numerators over one common denominator; series inverses
-    follow the linear recurrence of their coefficients, and a residue
-    of a product is one convolution, not a product,
+  * products, powers, multiplicities and Taylor shifts of polynomials
+    run on integer numerators over one common denominator, a power by
+    J.C.P. Miller's recurrence; series inverses follow the linear
+    recurrence of their coefficients, and a residue of a product is one
+    convolution, not a product,
   * rational roots are found p-adically (Hensel lifting and rational
     reconstruction), so no integer is ever factored.
 """
@@ -189,15 +190,25 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n by J.C.P. Miller's recurrence (Knuth, TAOCP 2, 4.7).
+
+        With self = t^v b(t) / d, b integral and b_0 != 0, the coefficients
+        of c = b^n satisfy k b_0 c_k = sum_j (j (n + 1) - k) b_j c_(k-j),
+        and the division is exact, so each c_k costs deg b integer steps.
+        """
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out, base = Poly.const(1), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if self.is_zero():
+            return Poly.const(1) if n == 0 else Poly()
+        a, d = common_denominator(self.coeffs)
+        v = next(i for i, x in enumerate(a) if x)
+        b0, tail = a[v], [(j, x) for j, x in enumerate(a[v + 1 :], 1) if x]
+        c = [b0**n]
+        for k in range(1, n * (len(a) - 1 - v) + 1):
+            s = sum((j * (n + 1) - k) * x * c[k - j] for j, x in tail if j <= k)
+            c.append(s // (k * b0))
+        dn = d**n
+        return Poly([0] * (v * n) + [Fraction(x, dn) for x in c])
 
     def divmod(self, other):
         if other.is_zero():

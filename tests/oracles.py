@@ -5,7 +5,8 @@ sympy row reduction (exhaustive row reduction for the integer side,
 dense pairing matrices for the Lie side).  No code is shared with the
 package's own elimination routines.  The dense Fraction kernels at the
 end are the reference the integer polynomial and series kernels of
-funcfield are tested against, and DenseRowSpan is the reference for the
+funcfield are tested against, repeated squaring is the reference for
+the power recurrence, and DenseRowSpan is the reference for the
 sparse RowSpan of linalg.  random_congruent_function and
 symbol_sum_over_divisor make the randomized certificate that the local
 modulus criterion of symbols.is_modulus is tested against.
@@ -129,6 +130,19 @@ def poly_mul_reference(a, b):
             for j, y in enumerate(b.coeffs):
                 out[i + j] += x * y
     return Poly(out)
+
+
+def poly_pow_reference(p, n):
+    """p^n by repeated squaring through Poly products."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    out, base = Poly.const(1), p
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
 
 
 def multiplicity_reference(poly, a):

@@ -70,6 +70,10 @@ def test_parse_expression_limits():
     for text in ("t^2049", "(t^2-1)^1025", "(1/t^2)^-1025"):
         with pytest.raises(InputError, match="degree"):
             parse_expression(text)
+    assert parse_expression("(2^31*t-1)^2048").num.coeffs[0] == 1
+    for text in ("((2^64)^2048)^2048", "(2^32*t-1)^2048", "(t/2^32-1)^-2048", "1/(2^32*t)^2048"):
+        with pytest.raises(InputError, match="height above 65536 bits"):
+            parse_expression(text)
 
 
 @pytest.mark.parametrize(
@@ -86,6 +90,14 @@ def test_symbol_huge_power_exits_2():
     code, out, err = run_cli(args, timeout=60)
     assert code == 2 and out == ""
     assert "degree above 2048" in err
+
+
+def test_symbol_huge_height_exits_2():
+    # a constant base has degree 0, so only the height limit stops this
+    args = ["symbol", "--tag", "gm", "--psi", "((2^64)^2048)^2048", "--f", "t", "--point", "1"]
+    code, out, err = run_cli(args, timeout=5)
+    assert code == 2 and out == ""
+    assert "coefficient height above 65536 bits" in err
 
 
 # --- analyze --------------------------------------------------------------------
@@ -328,6 +340,14 @@ def test_symbol_table_high_degree():
     data = json.loads(out)
     assert code == 0 and data["ok"] is True and data["aggregate"] == "0"
     assert data["values"] == {"C0:0": "0", "C0:2": str(2**2000), "C0:inf": str(-(2**2000))}
+
+
+@pytest.mark.parametrize("tag", ["ga", "gm"])
+def test_symbol_degree_2048_power(tag):
+    args = ["symbol", "--tag", tag, "--psi", "(2*t-9)^2048", "--f", "t-3", "--point", "3"]
+    code, out, _ = run_cli(args, timeout=60)
+    # psi is a unit at 3 and f has a simple zero there: both symbols are psi(3)
+    assert code == 0 and out == f"((2*t-9)^2048, t-3)_3 [{tag}] = {3**2048}\n"
 
 
 # --- verify ----------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from albx.symbols import residue_symbol
 from oracles import (
     multiplicity_reference,
     poly_mul_reference,
+    poly_pow_reference,
     product_coefficient_reference,
     series_inverse_reference,
     shifted_coefficients_reference,
@@ -72,15 +73,55 @@ def test_poly_product_matches_reference():
         assert a * b == poly_mul_reference(a, b)
 
 
+def _power_case(rng):
+    """(base, n): zero, constants, or degree 1-8 with low zero coefficients.
+
+    Exponents run over 0..300.  Past 40 the base has degree at most 2 and
+    height at most 9, and 64-bit heights appear only while n * degree <= 40,
+    so the squaring reference stays quick.
+    """
+    kind = rng.random()
+    if kind < 0.25:
+        n = rng.choice([0, 1, 2, rng.randint(3, 9)])
+    elif kind < 0.9:
+        n = rng.randint(3, 40)
+    else:
+        n = rng.randint(41, 300)
+    kind = rng.random()
+    if kind < 0.03:
+        return Poly(), n
+    if kind < 0.12:
+        return Poly.const(_rational(rng) or 1), n
+    degree = rng.randint(1, 8 if n <= 40 else 2)
+
+    def coeff():
+        c = _rational(rng)
+        limit = 10 if n > 40 else 2**32
+        if n * degree > 40 and max(abs(c.numerator), c.denominator) >= limit:
+            return F(rng.randint(-9, 9), rng.randint(1, 5))
+        return c
+
+    v = rng.choice([0, 0, 1, rng.randint(1, degree)])
+    coeffs = [F(0)] * v + [coeff() for _ in range(v, degree)] + [coeff() or F(1)]
+    return Poly(coeffs), n
+
+
 def test_poly_power_matches_reference():
     rng = random.Random(8)
+    seen = {"zero": 0, "constant": 0, "shifted": 0, "64-bit": 0, "n<=2": 0, "n>100": 0}
     for _ in range(CASES):
-        # low zero coefficients make p = t^v g with g(0) != 0
-        p, k = _poly(rng, 3) * Poly([0, 1]) ** rng.randint(0, 2), rng.randint(0, 9)
-        expected = Poly.const(1)
-        for _ in range(k):
-            expected = poly_mul_reference(expected, p)
-        assert p**k == expected
+        p, k = _power_case(rng)
+        seen["zero"] += p.is_zero()
+        seen["constant"] += p.degree == 0
+        seen["shifted"] += p.degree > 0 and p.coeffs[0] == 0
+        seen["64-bit"] += any(c.denominator > 2**32 for c in p.coeffs)
+        seen["n<=2"] += k <= 2
+        seen["n>100"] += k > 100
+        assert p**k == poly_pow_reference(p, k)
+    assert min(seen.values()) >= 20, seen
+    shifted = Poly([0, F(-9, 2**64 + 1), 0, 1])
+    for k in (0, 1, 2, 30):
+        assert shifted**k == poly_pow_reference(shifted, k)
     for _ in range(20):
         a, k = _point(rng), rng.randint(100, 300)
         binomial = [math.comb(k, i) * (-a) ** (k - i) for i in range(k + 1)]
