@@ -6,6 +6,9 @@ import math
 from .errors import InputError
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+# bits of a printed numerator or denominator, and of a coefficient that
+# cli forms by ^; past it the command exits 2 instead of printing
+MAX_HEIGHT = 2**16
 
 
 def parse_rat(text):
@@ -16,12 +19,29 @@ def parse_rat(text):
         raise InputError(f"bad rational literal {text!r}: {exc}") from None
 
 
+def _decimal(n):
+    """str(n) of any size; str alone refuses past 4300 digits."""
+    if n.bit_length() <= 8192:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rat(x):
-    """Render a Fraction as "a/b", or "a" when the denominator is 1."""
+    """Render a Fraction as "a/b", or "a" when the denominator is 1.
+
+    Numerator and denominator are printed in full up to MAX_HEIGHT bits;
+    a larger one raises InputError.
+    """
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    num, den = x.numerator, x.denominator
+    if max(num.bit_length(), den.bit_length()) > MAX_HEIGHT:
+        raise InputError(f"rational of more than {MAX_HEIGHT} bits is not printed")
+    text = _decimal(num)
+    return text if den == 1 else f"{text}/{_decimal(den)}"
 
 
 def common_denominator(values):

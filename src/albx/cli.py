@@ -6,16 +6,19 @@ Subcommands: analyze (formal group + receptor of a curve), chow
 the invariant suites).  Output is byte-deterministic given input, seed
 and format: JSON keys are sorted and rationals serialize as "a/b".
 
-Exit codes: 0 success, 1 a verify property failed, 2 bad input.
+Exit codes: 0 success, 1 a verify property failed, 2 bad input, 3 a
+verify suite could not test (INCONCLUSIVE) and none failed.
 Expressions nest at most MAX_DEPTH deep and raise no power past
-MAX_DEGREE or MAX_HEIGHT; curve.validate bounds the truncation order.
+MAX_DEGREE or MAX_HEIGHT (the coefficient bits of the result, bounded
+before it is formed); curve.validate bounds the truncation order, and
+arith.format_rat prints no rational past MAX_HEIGHT bits.
 """
 
 import argparse
 import json
 import sys
 
-from .arith import common_denominator, format_rat
+from .arith import MAX_HEIGHT, common_denominator, format_rat
 from .chow import ZeroCycle, abel_jacobi
 from .curve import config_to_json, degree_per_component, load_config, validate
 from .errors import AlbxError, InputError
@@ -31,7 +34,6 @@ from .verify import run_verify
 _TOKENS = set("+-*/^()")
 MAX_DEPTH = 100  # nesting of parentheses and unary minus signs
 MAX_DEGREE = 2048  # larger degree of a base times |exponent| after ^
-MAX_HEIGHT = 2**16  # coefficient bits of a ^ result, bounded before it is formed
 
 
 def _height_bits(poly):
@@ -291,10 +293,12 @@ def cmd_symbol(args):
 def cmd_verify(args):
     config = load_config(args.curve) if args.curve else None
     results, elapsed = run_verify(config, trials=args.trials, seed=args.seed)
-    ok = all(r.passed for r in results)
+    statuses = {r.status for r in results}
+    overall = next(s for s in ("FAIL", "INCONCLUSIVE", "PASS") if s in statuses)
     if args.format == "json":
         payload = {
-            "passed": ok,
+            "passed": overall == "PASS",
+            "status": overall,
             "trials": args.trials,
             "seed": args.seed,
             "suites": [r.to_json() for r in results],
@@ -302,12 +306,11 @@ def cmd_verify(args):
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         for r in sorted(results, key=lambda r: r.name):
-            status = "PASS" if r.passed else "FAIL"
             tail = f" [{r.detail}]" if r.detail else ""
-            sys.stdout.write(f"{status} {r.name} ({r.checks} checks){tail}\n")
-        sys.stdout.write(f"{'PASS' if ok else 'FAIL'} overall ({len(results)} suites)\n")
+            sys.stdout.write(f"{r.status} {r.name} ({r.checks} checks){tail}\n")
+        sys.stdout.write(f"{overall} overall ({len(results)} suites)\n")
         sys.stderr.write(f"verify: {elapsed:.1f}s\n")
-    return 0 if ok else 1
+    return {"PASS": 0, "FAIL": 1, "INCONCLUSIVE": 3}[overall]
 
 
 def build_parser():

@@ -176,13 +176,26 @@ def hnf_rows(vectors, ncols):
     return [row for row in rows[:r]]
 
 
-def lll_reduce(basis, delta=Fraction(99, 100)):
-    """Lattice-reduce linearly independent integer vectors (exact LLL).
+# Lovasz constant of lll_reduce, as numerator and denominator of 99/100
+_LOVASZ_NUM, _LOVASZ_DEN = 99, 100
 
-    Classical incremental formulation: Gram-Schmidt data is updated in
-    place on size reductions and swaps instead of being recomputed.
-    Exactness of callers only depends on the output being another basis
-    of the same lattice.
+
+def _round_half_even(num, den):
+    """round(num / den) for den > 0, ties to even like round(Fraction)."""
+    q, r = divmod(2 * num + den, 2 * den)
+    return q - 1 if r == 0 and q % 2 else q
+
+
+def lll_reduce(basis):
+    """Lattice-reduce linearly independent integer vectors (integral LLL).
+
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.7:
+    the Gram-Schmidt data is kept as integers, d[i] the Gram determinant
+    of the first i vectors and lam[k][j] = d[j+1] mu[k][j], updated by
+    exact division on size reductions and swaps.  The Lovasz test with
+    constant 99/100 and the half-even rounding of mu are the rational
+    algorithm's, so the output is the same basis.  Dependent input
+    raises ValueError.
     """
     b = [list(map(int, v)) for v in basis]
     n = len(b)
@@ -190,48 +203,44 @@ def lll_reduce(basis, delta=Fraction(99, 100)):
         return b
 
     def dot(u, v):
-        return sum(Fraction(x) * y for x, y in zip(u, v))
+        return sum(x * y for x, y in zip(u, v))
 
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms = [Fraction(0)] * n
-    star = []
-    for i in range(n):
-        v = [Fraction(x) for x in b[i]]
-        for j in range(i):
-            if norms[j] == 0:
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
                 raise ValueError("lll_reduce requires independent vectors")
-            mu[i][j] = dot(b[i], star[j]) / norms[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-        star.append(v)
-        norms[i] = dot(v, v)
-    del star
+            else:
+                d[k + 1] = u
 
     def size_reduce(k, j):
-        q = round(mu[k][j])
+        q = _round_half_even(lam[k][j], d[j + 1])
         if q:
             b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-            mu[k][j] -= q
+            lam[k][j] -= q * d[j + 1]
             for i in range(j):
-                mu[k][i] -= q * mu[j][i]
+                lam[k][i] -= q * lam[j][i]
 
     k = 1
     while k < n:
         size_reduce(k, k - 1)
-        if norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        t = lam[k][k - 1]
+        if _LOVASZ_DEN * d[k + 1] * d[k - 1] < _LOVASZ_NUM * d[k] ** 2 - _LOVASZ_DEN * t * t:
             b[k], b[k - 1] = b[k - 1], b[k]
-            old = mu[k][k - 1]
-            pivot = norms[k] + old * old * norms[k - 1]
-            if pivot == 0:
-                raise ValueError("lll_reduce requires independent vectors")
-            mu[k][k - 1] = old * norms[k - 1] / pivot
-            norms[k] = norms[k - 1] * norms[k] / pivot
-            norms[k - 1] = pivot
             for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            pivot = (d[k - 1] * d[k + 1] + t * t) // d[k]
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - old * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                s = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
+                lam[i][k - 1] = (pivot * s + t * lam[i][k]) // d[k + 1]
+            d[k] = pivot
             k = max(k - 1, 1)
         else:
             for j in range(k - 2, -1, -1):

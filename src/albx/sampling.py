@@ -69,13 +69,50 @@ def random_zero_cycle(config, rng, points=4, height=12):
     return ZeroCycle(out)
 
 
+# A build wants MIN_KERNEL kernel vectors of L1 norm at most LENGTH_BUDGET
+# (or twice that); draw tries DRAW_ATTEMPTS combinations before giving up.
+MIN_KERNEL = 4
+LENGTH_BUDGET = 24
+DRAW_ATTEMPTS = 400
+
+
+def _l1(v):
+    return sum(map(abs, v))
+
+
+def _l1_sweep(basis):
+    """Greedy pairwise sweep: b_i <- b_i +- b_j while that shortens b_i in L1.
+
+    Euclidean reduction does not directly minimize the L1 norms that
+    bound the unit degrees.  Norms are kept per vector, and a pair with
+    |b_j| >= 2|b_i| is skipped, since then |b_i +- b_j| >= |b_j| - |b_i|
+    >= |b_i|.
+    """
+    norms = [_l1(b) for b in basis]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            for j in range(len(basis)):
+                if i == j:
+                    continue
+                for sign in (1, -1):
+                    if norms[j] >= 2 * norms[i]:
+                        break
+                    cand = [a + sign * b for a, b in zip(basis[i], basis[j])]
+                    norm = _l1(cand)
+                    if 0 < norm < norms[i]:
+                        basis[i], norms[i] = cand, norm
+                        changed = True
+    return basis
+
+
 class CartierUnitSampler:
     """Draws random Cartier units with split divisors on a fixed configuration."""
 
-    def __init__(self, config, min_kernel=4, length_budget=24):
+    def __init__(self, config):
         self.config = validate(config)
         cfg = self.config
-        self.length_budget = length_budget
         jet_rows = sum(sum(sp.conductors) for sp in cfg.singular_points)
         pair_count = sum(len(sp.branches) - 1 for sp in cfg.singular_points)
         pool = max(12, jet_rows + 4 * pair_count + 8)
@@ -92,18 +129,15 @@ class CartierUnitSampler:
             except InputError:
                 basis = []
             if basis:
-                take = basis[: max(min_kernel, 8)]
-                short = [b for b in take if sum(abs(x) for x in b) <= length_budget]
-                loose = [b for b in take if sum(abs(x) for x in b) <= 2 * length_budget]
-                if len(short) >= min_kernel:
+                take = basis[: max(MIN_KERNEL, 8)]
+                short = [b for b in take if _l1(b) <= LENGTH_BUDGET]
+                loose = [b for b in take if _l1(b) <= 2 * LENGTH_BUDGET]
+                if len(short) >= MIN_KERNEL:
                     best, best_cols, done = short[:8], self.columns, True
-                elif len(loose) >= min_kernel:
+                elif len(loose) >= MIN_KERNEL:
                     best, best_cols, done = loose[:8], self.columns, True
                 else:
-                    score = (
-                        -len(short),
-                        sum(sum(abs(x) for x in b) for b in take[:min_kernel]),
-                    )
+                    score = (-len(short), sum(_l1(b) for b in take[:MIN_KERNEL]))
                     if best_score is None or score < best_score:
                         best, best_cols, best_score = take, self.columns, score
             if done:
@@ -113,9 +147,7 @@ class CartierUnitSampler:
             raise InputError("no Cartier units available from the factor pool")
         self.columns = best_cols
         self.basis = best
-        self.max_unit_degree = max(
-            80, 2 * max(sum(abs(x) for x in b) for b in self.basis) + 8
-        )
+        self.max_unit_degree = max(80, 2 * max(_l1(b) for b in self.basis) + 8)
 
     def _build_pool(self, pool):
         """One pool of negative integer coordinates per component, strictly
@@ -192,36 +224,19 @@ class CartierUnitSampler:
         if not basis:
             raise InputError("empty exponent kernel")
 
-        def l1(v):
-            return sum(abs(x) for x in v)
-
-        basis.sort(key=l1)
+        basis.sort(key=_l1)
         basis = basis[:16]
-        if any(l1(b) > self.length_budget for b in basis):
+        if any(_l1(b) > LENGTH_BUDGET for b in basis):
             basis = lll_reduce(basis)
-        # greedy pairwise sweep: Euclidean reduction does not directly
-        # minimize the L1 norms that bound the unit degrees
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(basis)):
-                for j in range(len(basis)):
-                    if i == j:
-                        continue
-                    for sign in (1, -1):
-                        cand = [a + sign * b for a, b in zip(basis[i], basis[j])]
-                        if any(cand) and l1(cand) < l1(basis[i]):
-                            basis[i] = cand
-                            changed = True
-        basis.sort(key=l1)
+        basis = _l1_sweep(basis)
+        basis.sort(key=_l1)
         return basis[:12]
 
-    def draw(self, rng, max_degree=None, attempts=400):
-        """One random unit tuple; always rechecked by the certificate."""
+    def draw(self, rng):
+        """One random unit tuple of degree at most max_unit_degree; always
+        rechecked by the certificate."""
         cfg = self.config
-        if max_degree is None:
-            max_degree = self.max_unit_degree
-        for _ in range(attempts):
+        for _ in range(DRAW_ATTEMPTS):
             weights = [rng.randint(-2, 2) for _ in self.basis]
             expo = [0] * len(self.columns)
             for w, b in zip(weights, self.basis):
@@ -229,7 +244,7 @@ class CartierUnitSampler:
                     expo = [e + w * x for e, x in zip(expo, b)]
             if not any(expo):
                 continue
-            if sum(abs(e) for e in expo) > max_degree:
+            if _l1(expo) > self.max_unit_degree:
                 continue
             funcs = {}
             for comp in cfg.components:

@@ -1,9 +1,11 @@
 """Cross-module invariant suites behind the verify command.
 
 Each suite runs a batch of exact checks (seeded where random inputs are
-involved) and reports a pass flag plus counters.  Everything asserted
+involved) and reports a status plus counters.  Everything asserted
 here is an identity, not an approximation, so a single failing instance
-fails the suite.
+fails the suite.  A suite that could not produce its inputs (no Cartier
+unit could be sampled) is INCONCLUSIVE, not FAIL: no property was seen
+to break.
 """
 
 from fractions import Fraction
@@ -19,7 +21,7 @@ from .chow import (
     rationally_equivalent,
 )
 from .curve import validate
-from .errors import AlbxError, ValidationError
+from .errors import InputError, ValidationError
 from .fixtures import line_chain, modulus_curve, zoo
 from .funcfield import INF, LaurentSeries, Place, dlog, expand_at, residue, split_divisor, val_at
 from .infdiv import divisor_group, residue_pairing
@@ -36,14 +38,25 @@ from .symbols import reciprocity_check
 
 
 class SuiteResult:
+    """passed is True, False (a property failed) or None (could not test)."""
+
     def __init__(self, name, passed, checks, detail=""):
         self.name = name
-        self.passed = bool(passed)
+        self.passed = None if passed is None else bool(passed)
         self.checks = int(checks)
         self.detail = detail
 
+    @property
+    def status(self):
+        return {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}[self.passed]
+
     def to_json(self):
-        out = {"name": self.name, "passed": self.passed, "checks": self.checks}
+        out = {
+            "name": self.name,
+            "passed": self.passed,
+            "status": self.status,
+            "checks": self.checks,
+        }
         if self.detail:
             out["detail"] = self.detail
         return out
@@ -199,7 +212,8 @@ def suite_duality(trials, seed):
 
 
 def suite_aj_kernel(trials, seed, configs=None):
-    """Divisors of Cartier units map to the identity of the receptor."""
+    """Divisors of Cartier units map to the identity of the receptor;
+    inconclusive when the sampler cannot build or draw a unit."""
     rng = random.Random(seed)
     checks = 0
     items = configs if configs is not None else list(zoo().items())
@@ -207,10 +221,13 @@ def suite_aj_kernel(trials, seed, configs=None):
         alb = albanese(cfg)
         try:
             sampler = CartierUnitSampler(cfg)
-        except AlbxError as exc:
-            return SuiteResult("aj_kernel", False, checks, f"{name}: {exc}")
+        except InputError as exc:
+            return SuiteResult("aj_kernel", None, checks, f"{name}: {exc}")
         for _ in range(trials):
-            h = sampler.draw(rng)
+            try:
+                h = sampler.draw(rng)
+            except InputError as exc:
+                return SuiteResult("aj_kernel", None, checks, f"{name}: {exc}")
             point = abel_jacobi(div_C(h, cfg), cfg, alb)
             if not point.is_identity():
                 return SuiteResult("aj_kernel", False, checks, f"{name}: {point!r}")

@@ -10,6 +10,9 @@ the power recurrence, and DenseRowSpan is the reference for the
 sparse RowSpan of linalg.  random_congruent_function and
 symbol_sum_over_divisor make the randomized certificate that the local
 modulus criterion of symbols.is_modulus is tested against.
+lll_reduce_reference (LLL over Fraction Gram-Schmidt data) and
+l1_sweep_reference (the unpruned sweep) are the reference path for
+linalg.lll_reduce and the sampler's kernel basis.
 """
 
 from fractions import Fraction as F
@@ -333,3 +336,88 @@ def symbol_sum_over_divisor(psi, f, tag):
     for s in bad:
         total /= tame_symbol(psi, f, s)
     return total
+
+
+def lll_reduce_reference(basis):
+    """LLL over Fraction Gram-Schmidt data, the reference for linalg.lll_reduce.
+
+    Classical incremental formulation with Lovasz constant 99/100: mu and
+    the squared norms are updated in place on size reductions and swaps,
+    and mu is rounded with round(Fraction), half to even.
+    """
+    delta = F(99, 100)
+    b = [list(map(int, v)) for v in basis]
+    n = len(b)
+    if n <= 1:
+        return b
+
+    def dot(u, v):
+        return sum(F(x) * y for x, y in zip(u, v))
+
+    mu = [[F(0)] * n for _ in range(n)]
+    norms = [F(0)] * n
+    star = []
+    for i in range(n):
+        v = [F(x) for x in b[i]]
+        for j in range(i):
+            if norms[j] == 0:
+                raise ValueError("lll_reduce requires independent vectors")
+            mu[i][j] = dot(b[i], star[j]) / norms[j]
+            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+        norms[i] = dot(v, v)
+    del star
+
+    def size_reduce(k, j):
+        q = round(mu[k][j])
+        if q:
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            mu[k][j] -= q
+            for i in range(j):
+                mu[k][i] -= q * mu[j][i]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        if norms[k] < (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            old = mu[k][k - 1]
+            pivot = norms[k] + old * old * norms[k - 1]
+            if pivot == 0:
+                raise ValueError("lll_reduce requires independent vectors")
+            mu[k][k - 1] = old * norms[k - 1] / pivot
+            norms[k] = norms[k - 1] * norms[k] / pivot
+            norms[k - 1] = pivot
+            for j in range(k - 1):
+                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - old * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+    return b
+
+
+def l1_sweep_reference(basis):
+    """The sampler's greedy L1 sweep without pruning: every pair, both signs."""
+
+    def l1(v):
+        return sum(abs(x) for x in v)
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            for j in range(len(basis)):
+                if i == j:
+                    continue
+                for sign in (1, -1):
+                    cand = [a + sign * b for a, b in zip(basis[i], basis[j])]
+                    if any(cand) and l1(cand) < l1(basis[i]):
+                        basis[i] = cand
+                        changed = True
+    return basis

@@ -7,7 +7,7 @@ import pytest
 from albx.cli import main, parse_expression
 from albx.curve import CurveConfig, SingularPoint, config_to_json
 from albx.errors import InputError
-from albx.fixtures import cusp, node, tacnode, tacnode_point
+from albx.fixtures import cusp, node, rfold, tacnode, tacnode_point
 from albx.funcfield import INF, Place, RatFunc
 
 T = RatFunc.variable()
@@ -98,6 +98,26 @@ def test_symbol_huge_height_exits_2():
     code, out, err = run_cli(args, timeout=5)
     assert code == 2 and out == ""
     assert "coefficient height above 65536 bits" in err
+
+
+def test_symbol_prints_values_past_4300_digits():
+    # str() of an int stops at 4300 digits; 99999^1000 has 5000
+    args = ["symbol", "--tag", "gm", "--psi", "99999^1000", "--f", "t-3", "--point", "3"]
+    code, out, err = run_cli(args, timeout=30)
+    assert code == 0 and err == ""
+    head, value = out.rstrip("\n").split(" = ")
+    assert head == "(99999^1000, t-3)_3 [gm]" and len(value) == 5000
+    want = 99999**1000
+    assert int(value[:2000]) == want // 10**3000
+    assert int(value[-2000:]) == want % 10**2000
+
+
+def test_symbol_value_past_height_limit_exits_2():
+    # (3 * 2^31 - 1)^2048 has 66,729 bits, past the printing limit
+    args = ["symbol", "--tag", "ga", "--psi", "(2^31*t-1)^2048", "--f", "t-3", "--point", "3"]
+    code, out, err = run_cli(args, timeout=30)
+    assert code == 2 and out == ""
+    assert "more than 65536 bits" in err and "Traceback" not in err
 
 
 # --- analyze --------------------------------------------------------------------
@@ -384,6 +404,23 @@ def test_verify_flags_corrupt_curve(curve_files):
     )
     assert code == 1
     assert "FAIL validate" in out
+
+
+def test_verify_inconclusive_on_fivefold_point(tmp_path):
+    # the curve has units, but the sampler's factor pool finds none: that
+    # is "could not test" (exit 3), not a violated property (exit 1)
+    path = tmp_path / "fivefold.json"
+    path.write_text(json.dumps(config_to_json(rfold(5))))
+    args = ["verify", str(path), "--trials", "10", "--seed", "1"]
+    code, out, _ = run_cli(args, timeout=60)
+    assert code == 3
+    assert "INCONCLUSIVE input_aj_kernel (0 checks) [input: no Cartier units" in out
+    assert "FAIL" not in out and out.endswith("INCONCLUSIVE overall (12 suites)\n")
+    code, out, _ = run_cli([*args, "--format", "json"], timeout=60)
+    data = json.loads(out)
+    assert code == 3 and data["status"] == "INCONCLUSIVE" and data["passed"] is False
+    suite = next(r for r in data["suites"] if r["name"] == "input_aj_kernel")
+    assert suite["status"] == "INCONCLUSIVE" and suite["passed"] is None
 
 
 def test_verify_rejects_bad_trials():

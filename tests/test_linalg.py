@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 import sympy
 
-from oracles import as_primitive_int, integer_combination
+from oracles import as_primitive_int, integer_combination, lll_reduce_reference
 
 from albx.linalg import (
     RowSpan,
@@ -171,3 +171,35 @@ def test_lll_preserves_lattice_and_shrinks():
 def test_lll_rejects_dependent():
     with pytest.raises(ValueError):
         lll_reduce([[1, 2], [2, 4]])
+
+
+def test_lll_matches_fraction_reference():
+    """Integral LLL returns the basis that LLL over Fraction returns.
+
+    Small entries make exact half-integer mu frequent, so a rounding
+    other than half to even shows; n <= 1 is returned as given, and
+    dependent input raises on both sides.
+    """
+    # mu = 1/2 rounds to 0, mu = 3/2 to 2
+    assert lll_reduce([[2, 0], [1, 1]]) == [[1, 1], [1, -1]]
+    assert lll_reduce([[2, 0], [3, 1]]) == [[-1, 1], [1, 1]]
+    assert lll_reduce([]) == [] and lll_reduce([[0, 3]]) == [[0, 3]]
+    rng = random.Random(9)
+    seen = {"reduced": 0, "dependent": 0, "n<=1": 0}
+    for _ in range(1200):
+        n = rng.randint(0, 6)
+        m = rng.randint(max(n, 1), 8)
+        h = rng.choice((1, 2, 5, 100, 10**6))
+        basis = [[rng.randint(-h, h) for _ in range(m)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.1:
+            basis[-1] = [x - 2 * y for x, y in zip(basis[0], basis[-2])]
+        try:
+            want = lll_reduce_reference(basis)
+        except ValueError:
+            with pytest.raises(ValueError):
+                lll_reduce(basis)
+            seen["dependent"] += 1
+            continue
+        assert lll_reduce(basis) == want, basis
+        seen["n<=1" if n <= 1 else "reduced"] += 1
+    assert min(seen.values()) >= 50, seen

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as F
 
+from oracles import l1_sweep_reference, lll_reduce_reference
+
+from albx import sampling
 from albx.chow import is_cartier_unit
 from albx.curve import degree_per_component
 from albx.fixtures import modulus_curve
@@ -79,3 +82,40 @@ def test_sampler_draws_vary(node):
         for d in (sampler.draw(rng) for _ in range(10))
     }
     assert len(seen) >= 8
+
+
+def _sampler_record(cfg):
+    sampler = CartierUnitSampler(cfg)
+    rng = random.Random(8)
+    draws = [sorted(sampler.draw(rng).items()) for _ in range(3)]
+    return sampler.columns, sampler.basis, sampler.max_unit_degree, draws
+
+
+def test_sampler_matches_reference_path(whole_zoo, monkeypatch):
+    """Integral LLL and the pruned sweep build the sampler that LLL over
+    Fraction and the unpruned sweep build: same columns, basis, degree
+    cap and draws."""
+    curves = list(whole_zoo.values())
+    for points in (
+        [(0, 2), (1, 2)],
+        [(0, 4)],
+        [(2, 4)],
+        [(0, 2), (INF, 2)],
+        [(0, 2), (1, 1), (INF, 1)],
+    ):
+        curves.append(modulus_curve([(Place("C0", c), n) for c, n in points]))
+    fast = [_sampler_record(cfg) for cfg in curves]
+    monkeypatch.setattr(sampling, "lll_reduce", lll_reduce_reference)
+    monkeypatch.setattr(sampling, "_l1_sweep", l1_sweep_reference)
+    assert fast == [_sampler_record(cfg) for cfg in curves]
+
+
+def test_l1_sweep_matches_unpruned():
+    rng = random.Random(10)
+    for _ in range(300):
+        n, m = rng.randint(1, 8), rng.randint(1, 10)
+        h = rng.choice((1, 3, 20))
+        basis = [[rng.randint(-h, h) for _ in range(m)] for _ in range(n)]
+        basis = [v for v in basis if any(v)]
+        want = l1_sweep_reference([list(v) for v in basis])
+        assert sampling._l1_sweep(basis) == want
