@@ -13,10 +13,38 @@ MAX_HEIGHT = 2**16
 
 def parse_rat(text):
     """Parse "a/b" or "a" into a Fraction."""
+    text = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
+        if len(text) > 40:
+            text = f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
         raise InputError(f"bad rational literal {text!r}: {exc}") from None
+
+
+def parse_int(digits):
+    """The integer a run of decimal digits spells, up to MAX_HEIGHT bits.
+
+    int alone refuses past 4300 digits, so a long run converts by halves
+    on powers of ten, the inverse of _decimal.  A longer literal raises
+    InputError; d digits without leading zeros are at least 2^(3(d - 1)),
+    so a run that long is refused before it is converted.
+    """
+    digits = digits.lstrip("0") or "0"
+    if 3 * (len(digits) - 1) < MAX_HEIGHT:
+        n = _from_decimal(digits)
+        if n.bit_length() <= MAX_HEIGHT:
+            return n
+    raise InputError(
+        f"integer literal of more than {MAX_HEIGHT} bits ({len(digits)} digits)"
+    )
+
+
+def _from_decimal(digits):
+    if len(digits) <= 2400:
+        return int(digits)
+    k = len(digits) // 2
+    return _from_decimal(digits[:-k]) * 10**k + _from_decimal(digits[-k:])
 
 
 def _decimal(n):

@@ -8,17 +8,18 @@ and format: JSON keys are sorted and rationals serialize as "a/b".
 
 Exit codes: 0 success, 1 a verify property failed, 2 bad input, 3 a
 verify suite could not test (INCONCLUSIVE) and none failed.
-Expressions nest at most MAX_DEPTH deep and raise no power past
-MAX_DEGREE or MAX_HEIGHT (the coefficient bits of the result, bounded
-before it is formed); curve.validate bounds the truncation order, and
-arith.format_rat prints no rational past MAX_HEIGHT bits.
+Expressions nest at most MAX_DEPTH deep, hold no integer literal past
+MAX_HEIGHT bits and raise no power past MAX_DEGREE or MAX_HEIGHT (the
+coefficient bits of the result, bounded before it is formed);
+curve.validate bounds the truncation order, and arith.format_rat prints
+no rational past MAX_HEIGHT bits.
 """
 
 import argparse
 import json
 import sys
 
-from .arith import MAX_HEIGHT, common_denominator, format_rat
+from .arith import MAX_HEIGHT, common_denominator, format_rat, parse_int
 from .chow import ZeroCycle, abel_jacobi
 from .curve import config_to_json, degree_per_component, load_config, validate
 from .errors import AlbxError, InputError
@@ -60,7 +61,7 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            out.append(int(text[i:j]))
+            out.append(parse_int(text[i:j]))
             i = j
         elif c == "t":
             out.append("t")

@@ -21,6 +21,14 @@ Design choices worth knowing:
     J.C.P. Miller's recurrence; series inverses follow the linear
     recurrence of their coefficients, and a residue of a product is one
     convolution, not a product,
+  * the valuation and the leading coefficient of a function at a place
+    come together from leading_term, with no series: at a finite point
+    one synthetic-division sweep per polynomial (the one that also
+    counts multiplicities and rational roots), at infinity the degrees
+    and leading coefficients,
+  * RatFunc runs Euclid only on a quotient of two polynomials of
+    positive degree; constants, scalar multiples and integer powers of
+    a reduced ratio are reduced already,
   * rational roots are found p-adically (Hensel lifting and rational
     reconstruction), so no integer is ever factored.
 """
@@ -283,10 +291,26 @@ class Poly:
         if self.is_zero():
             raise UndefinedValuationError("zero polynomial")
         a = Fraction(a)
-        m, cur = 0, self.primitive_int()
-        while (cur := _divide_linear(cur, a.numerator, a.denominator)) is not None:
-            m += 1
-        return m
+        return _strip_linear(self.primitive_int(), a.numerator, a.denominator)[0]
+
+    def leading_term_at(self, a):
+        """(m, c) with self = c (t - a)^m + O((t - a)^(m + 1)) and c != 0.
+
+        With a = r/q and self = P/d, P integral, the sweep of multiplicity_at
+        writes P = (q t - r)^m b with b(a) != 0, so c = q^m b(a) / d, and
+        q^(deg b) b(a) is a homogeneous Horner sum in integers.
+        """
+        if self.is_zero():
+            raise UndefinedValuationError("zero polynomial")
+        a = Fraction(a)
+        r, q = a.numerator, a.denominator
+        ints, d = common_denominator(self.coeffs)
+        m, b = _strip_linear(ints, r, q)
+        acc, qk = b[-1], 1
+        for c in reversed(b[:-1]):
+            qk *= q
+            acc = acc * r + c * qk
+        return m, Fraction(acc * q**m, d * qk)
 
     def __repr__(self):
         if self.is_zero():
@@ -304,25 +328,35 @@ class Poly:
         return " + ".join(reversed(bits))
 
 
-def _divide_linear(ints, r, q):
-    """Quotient of an integer polynomial by q*t - r, or None if it does not divide.
+def _strip_linear(ints, r, q):
+    """(m, b) with ints = (q t - r)^m b, b integral and not divisible by q t - r.
 
-    For coprime r, q an exact quotient is integral (Gauss's lemma), so the
-    synthetic division runs in integers and stops at the first inexact step.
+    ints is a nonzero integer polynomial and r, q are coprime, so each exact
+    quotient is integral (Gauss's lemma): every synthetic division runs in
+    integers and stops at its first inexact step.
     """
-    out, s = [], 0
-    for c in reversed(ints[1:]):
-        s, rem = divmod(c + r * s, q)
-        if rem:
-            return None
-        out.append(s)
-    if ints[0] + r * s:
-        return None
-    return out[::-1]
+    m = 0
+    while len(ints) > 1:
+        out, s = [], 0
+        for c in reversed(ints[1:]):
+            s, rem = divmod(c + r * s, q)
+            if rem:
+                return m, ints
+            out.append(s)
+        if ints[0] + r * s:
+            return m, ints
+        ints, m = out[::-1], m + 1
+    return m, ints
 
 
 class RatFunc:
-    """Reduced ratio of polynomials on a named component, denominator monic."""
+    """Reduced ratio of polynomials on a named component, denominator monic.
+
+    The constructor runs Euclid only when numerator and denominator both
+    have positive degree; otherwise nothing can cancel.  Scalar products
+    and quotients and integer powers of a reduced ratio are reduced
+    already and skip the constructor.
+    """
 
     __slots__ = ("num", "den", "component")
 
@@ -331,7 +365,7 @@ class RatFunc:
         den = Poly.const(1) if den is None else (den if isinstance(den, Poly) else Poly.const(den))
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
+        if num.degree > 0 and den.degree > 0:
             g = num.gcd(den)
             if g.degree > 0:
                 num = num.divmod(g)[0]
@@ -425,7 +459,7 @@ class RatFunc:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatFunc(self.num * other, self.den, self.component)
+            return RatFunc._raw(self.num * other, self.den, self.component)
         self._check(other)
         return RatFunc(self.num * other.num, self.den * other.den, self.component)
 
@@ -433,21 +467,23 @@ class RatFunc:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatFunc(self.num, self.den * other, self.component)
+            return RatFunc._raw(self.num * (1 / Fraction(other)), self.den, self.component)
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
         return RatFunc(self.num * other.den, self.den * other.num, self.component)
 
     def __pow__(self, n):
+        """Powers of coprime polynomials stay coprime, so no Euclid runs."""
         if n == 0:
             return RatFunc.constant(1, self.component)
+        num, den = self.num, self.den
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            inv = RatFunc(self.den, self.num, self.component)
-            return inv ** (-n)
-        return RatFunc(self.num**n, self.den**n, self.component)
+            lc = num.leading()
+            num, den, n = den * (1 / lc), num * (1 / lc), -n
+        return RatFunc._raw(num**n, den**n, self.component)
 
     def derivative(self):
         num = self.num.derivative() * self.den - self.num * self.den.derivative()
@@ -677,20 +713,35 @@ def expand_at(f, p, n):
     return (num_s * den_s.inverse()).truncate(n)
 
 
+def leading_term(f, p):
+    """(v, c) with f = c u^v + O(u^(v + 1)) in the local coordinate u at p, c != 0.
+
+    At a finite place this is one sweep per polynomial (Poly.leading_term_at);
+    at infinity, with u = 1/t, it is read off the degrees and leading
+    coefficients.
+    """
+    if f.is_zero():
+        raise UndefinedValuationError("valuation of the zero function")
+    if p.component != f.component:
+        raise InputError(f"place {p!r} not on component {f.component}")
+    if p.is_infinite():
+        return f.den.degree - f.num.degree, f.num.leading() / f.den.leading()
+    vn, cn = f.num.leading_term_at(p.coordinate)
+    vd, cd = f.den.leading_term_at(p.coordinate)
+    return vn - vd, cn / cd
+
+
 def leading_coefficient(f, p):
     """Leading Laurent coefficient of f at p (nonzero)."""
-    v = val_at(f, p)
-    return expand_at(f, p, v).coefficient(v)
+    return leading_term(f, p)[1]
 
 
 def evaluate(f, p):
     """Value f(p) in Q; requires f finite at p (0 allowed)."""
-    v = val_at(f, p)
+    v, c = leading_term(f, p)
     if v < 0:
         raise ZeroDivisionError(f"{f!r} has a pole at {p!r}")
-    if v > 0:
-        return Fraction(0)
-    return leading_coefficient(f, p)
+    return Fraction(0) if v > 0 else c
 
 
 def dlog(f, p, n):
@@ -779,9 +830,7 @@ def rational_roots(poly):
         m *= m  # one Newton step doubles the p-adic precision
         xs = [(x - _horner(sf, x, m) * pow(_horner(dsf, x, m), -1, m)) % m for x in xs]
     for a in sorted({_reconstruct(x, m, bound) for x in xs}):
-        mult = 0
-        while (q := _divide_linear(cur, a.numerator, a.denominator)) is not None:
-            cur, mult = q, mult + 1
+        mult, cur = _strip_linear(cur, a.numerator, a.denominator)
         if mult:
             roots.append((a, mult))
     return sorted(roots), Poly(cur).monic()

@@ -2,9 +2,12 @@
 
 The multiplicative symbol (tame symbol) of psi and f at p is
 (-1)^(mn) psi^m / f^n evaluated at p, with m the valuation of f and n
-the valuation of psi there; the additive symbol is Res_p(psi df/f).
-Both are exact rationals.  Over all places of the line their product
-(multiplicative) or sum (additive) is the identity, and
+the valuation of psi there.  Since psi^m / f^n is a unit at p, its value
+is a ratio of powers of leading coefficients, so tame_symbol reads one
+leading_term per function and expands no series.  The additive symbol
+is Res_p(psi df/f), one coefficient of the product of psi's expansion
+with dlog f.  Both are exact rationals.  Over all places of the line
+their product (multiplicative) or sum (additive) is the identity, and
 reciprocity_check raises when a table breaks that law.
 
 A modulus kills psi when psi(div f) is the identity for every f
@@ -23,7 +26,7 @@ from .funcfield import (
     Place,
     dlog,
     expand_at,
-    leading_coefficient,
+    leading_term,
     rational_roots,
     split_divisor,
     val_at,
@@ -64,13 +67,13 @@ def tame_symbol(psi, f, p):
     """Multiplicative local symbol at p, always a nonzero rational.
 
     The combination psi^m / f^n has valuation zero at p, so its value is
-    the ratio of leading Laurent coefficients.
+    the ratio of leading Laurent coefficients; leading_term gives each
+    function's valuation and leading coefficient together.
     """
-    m = val_at(f, p)
-    n = val_at(psi, p)
+    m, a = leading_term(f, p)
+    n, b = leading_term(psi, p)
     sign = -1 if (m * n) % 2 else 1
-    value = leading_coefficient(psi, p) ** m / leading_coefficient(f, p) ** n
-    return sign * value
+    return sign * (b**m / a**n)
 
 
 def residue_symbol(psi, f, p):

@@ -6,8 +6,11 @@ dense pairing matrices for the Lie side).  No code is shared with the
 package's own elimination routines.  The dense Fraction kernels at the
 end are the reference the integer polynomial and series kernels of
 funcfield are tested against, repeated squaring is the reference for
-the power recurrence, and DenseRowSpan is the reference for the
-sparse RowSpan of linalg.  random_congruent_function and
+the power recurrence, the valuation and Laurent expansion of
+leading_term_reference are the reference for funcfield.leading_term,
+reduced_reference (Euclid on every quotient) is the reference for
+RatFunc's shortcuts past Euclid, and DenseRowSpan is the reference for
+the sparse RowSpan of linalg.  random_congruent_function and
 symbol_sum_over_divisor make the randomized certificate that the local
 modulus criterion of symbols.is_modulus is tested against.
 lll_reduce_reference (LLL over Fraction Gram-Schmidt data) and
@@ -20,7 +23,7 @@ from math import gcd
 
 import sympy
 
-from albx.funcfield import LaurentSeries, Poly, RatFunc, split_divisor
+from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor, val_at
 from albx.symbols import residue_symbol, tame_symbol
 
 
@@ -175,6 +178,22 @@ def shifted_coefficients_reference(poly, a, upto):
         out.append(acc)
         cs = list(reversed(quotient))
     return out
+
+
+def leading_term_reference(f, p):
+    """(valuation, leading coefficient) of f at p: val_at, then a Laurent
+    expansion exact through the valuation."""
+    v = val_at(f, p)
+    return v, expand_at(f, p, v).coefficient(v)
+
+
+def reduced_reference(num, den, component="C0"):
+    """num/den in RatFunc's normal form by Euclid, whatever the degrees."""
+    if not num.is_zero():
+        g = num.gcd(den)
+        num, den = num.divmod(g)[0], den.divmod(g)[0]
+    scale = 1 / den.leading()
+    return RatFunc._raw(num * scale, den * scale, component)
 
 
 def series_inverse_reference(series):

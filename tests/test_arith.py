@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from albx.arith import factorint, format_rat, parse_rat
+from albx.arith import MAX_HEIGHT, _decimal, factorint, format_rat, parse_int, parse_rat
 from albx.errors import InputError
 
 
@@ -14,6 +14,24 @@ def test_parse_format_roundtrip():
         parse_rat("1/0")
     with pytest.raises(InputError):
         parse_rat("x")
+
+
+def test_parse_int_by_halves_up_to_the_height_limit():
+    assert parse_int("0") == 0 and parse_int("007") == 7
+    assert parse_int("1" + "0" * 4400) == 10**4400
+    assert parse_int("3" * 9000) == (10**9000 - 1) // 3
+    # the inverse of _decimal, exactly up to the limit
+    assert parse_int(_decimal(2**MAX_HEIGHT - 1)) == 2**MAX_HEIGHT - 1
+    for digits in (_decimal(2**MAX_HEIGHT), "9" * 19729, "1" + "0" * 30000):
+        with pytest.raises(InputError, match="more than 65536 bits"):
+            parse_int(digits)
+
+
+def test_parse_rat_shortens_long_literals():
+    with pytest.raises(InputError) as info:
+        parse_rat("7" * 5000)
+    message = str(info.value)
+    assert "(5000 characters)" in message and "7" * 41 not in message
 
 
 def test_factorint_small():

@@ -370,6 +370,42 @@ def test_symbol_degree_2048_power(tag):
     assert code == 0 and out == f"((2*t-9)^2048, t-3)_3 [{tag}] = {3**2048}\n"
 
 
+def test_symbol_power_of_quotient():
+    # Euclid on the 1024th powers took 7.6-8.7 s; a power of a reduced
+    # quotient is reduced already
+    args = ["symbol", "--tag", "gm", "--psi", "((t-3)/(t-5))^1024", "--f", "t-1", "--point", "1"]
+    code, out, _ = run_cli(args, timeout=5)
+    # psi is a unit at 1 and f has a simple zero there: the symbol is psi(1)
+    assert code == 0 and out == f"(((t-3)/(t-5))^1024, t-1)_1 [gm] = 1/{2**1024}\n"
+
+
+def test_symbol_at_a_root_of_order_1024():
+    # three multiplicity sweeps and a Taylor shift took 1.4-1.6 s; one
+    # sweep per polynomial takes about 0.6 s with the interpreter start
+    args = ["symbol", "--tag", "gm", "--psi", "(t-8)^1024", "--f", "t-1", "--point", "8"]
+    code, out, _ = run_cli(args, timeout=1.2)
+    # psi has a zero of order 1024 at 8 and f is a unit there: 1/f(8)^1024
+    assert code == 0 and out == f"((t-8)^1024, t-1)_8 [gm] = 1/{7**1024}\n"
+
+
+def test_symbol_integer_literal_past_4300_digits():
+    digits = "7" * 4400
+    args = ["symbol", "--tag", "gm", "--psi", digits, "--f", "t-3", "--point", "3"]
+    code, out, err = run_cli(args, timeout=30)
+    assert code == 0 and err == ""
+    assert out == f"({digits}, t-3)_3 [gm] = {digits}\n"
+
+
+@pytest.mark.parametrize("digits", [19729, 100000])
+def test_symbol_integer_literal_past_height_limit_exits_2(digits):
+    # 10^19729 - 1 has 65,539 bits; a run of 100,000 is refused before conversion
+    args = ["symbol", "--tag", "gm", "--psi", "9" * digits, "--f", "t-3", "--point", "3"]
+    code, out, err = run_cli(args, timeout=30)
+    assert code == 2 and out == ""
+    assert f"integer literal of more than 65536 bits ({digits} digits)" in err
+    assert "Traceback" not in err
+
+
 # --- verify ----------------------------------------------------------------------------
 
 

@@ -20,15 +20,18 @@ from albx.funcfield import (
     RatFunc,
     dlog,
     expand_at,
+    leading_term,
     rational_roots,
     val_at,
 )
 from albx.symbols import residue_symbol
 from oracles import (
+    leading_term_reference,
     multiplicity_reference,
     poly_mul_reference,
     poly_pow_reference,
     product_coefficient_reference,
+    reduced_reference,
     series_inverse_reference,
     shifted_coefficients_reference,
 )
@@ -142,6 +145,65 @@ def test_multiplicity_matches_reference():
         for x in (a, _point(rng)):
             assert p.multiplicity_at(x) == multiplicity_reference(p, x)
     assert high > 100
+
+
+def test_leading_term_matches_reference():
+    """f = (t - a)^e g / h at a, at another point or at infinity, |e| <= 30."""
+    rng = random.Random(11)
+    seen = {"zero": 0, "pole": 0, "unit": 0, "inf": 0, "|v|>=10": 0, "64-bit": 0, "40-bit point": 0}
+    for _ in range(CASES):
+        a = _point(rng)
+        e = rng.choice([0, 1, -1, 2, -2, rng.randint(3, 30), -rng.randint(3, 30)])
+        g, h = _poly(rng, 4), _poly(rng, 3)
+        if g.is_zero():
+            g = Poly.const(_rational(rng) or 1)
+        if h.is_zero():
+            h = Poly.const(1)
+        power = Poly.linear(a) ** abs(e)
+        f = RatFunc(g * power, h) if e >= 0 else RatFunc(g, h * power)
+        p = Place("C0", rng.choice([a, a, _point(rng), INF]))
+        v, c = leading_term(f, p)
+        assert (v, c) == leading_term_reference(f, p)
+        seen["zero" if v > 0 else "pole" if v < 0 else "unit"] += 1
+        seen["inf"] += p.is_infinite()
+        seen["|v|>=10"] += abs(v) >= 10
+        seen["64-bit"] += any(x.denominator > 2**32 for x in f.num.coeffs + f.den.coeffs)
+        seen["40-bit point"] += not p.is_infinite() and p.coordinate.denominator > 2**20
+    assert min(seen.values()) >= 50, seen
+
+
+def test_ratfunc_shortcuts_match_euclid():
+    """Scalar products and quotients, integer powers and constant numerators
+    or denominators skip Euclid; the normal form must not change."""
+    rng = random.Random(12)
+    seen = {"constant den": 0, "constant num": 0, "power < 0": 0, "power > 0": 0}
+    for _ in range(CASES):
+        kind = rng.random()
+        num = Poly.const(_rational(rng)) if kind < 0.2 else _poly(rng, 4)
+        den = Poly.const(_rational(rng) or 1) if kind > 0.7 else _poly(rng, 3)
+        if den.is_zero():
+            den = Poly.linear(_point(rng))
+        seen["constant num"] += num.degree == 0
+        seen["constant den"] += den.degree == 0
+        f = RatFunc(num, den)
+        assert f == reduced_reference(num, den)
+        c = _rational(rng)
+        assert f * c == c * f == reduced_reference(f.num * c, f.den)
+        if c:
+            assert f / c == reduced_reference(f.num, f.den * c)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                f / c
+        k = rng.randint(-6, 6)
+        if f.is_zero() and k < 0:
+            with pytest.raises(ZeroDivisionError):
+                f**k
+            continue
+        seen["power < 0"] += k < 0
+        seen["power > 0"] += k > 0
+        top, bottom = (f.num, f.den) if k >= 0 else (f.den, f.num)
+        assert f**k == reduced_reference(top ** abs(k), bottom ** abs(k))
+    assert min(seen.values()) >= 100, seen
 
 
 def test_shifted_coefficients_match_reference():
