@@ -19,7 +19,6 @@ from .curve import (
 )
 from .chow import (
     AJPoint,
-    CartierFunction,
     ZeroCycle,
     abel_jacobi,
     div_C,
@@ -54,6 +53,6 @@ from .motive import (
     linear_group,
     one_motive,
 )
-from .symbols import Modulus, is_modulus, reciprocity_check, residue_symbol, tame_symbol
+from .symbols import is_modulus, reciprocity_check, residue_symbol, tame_symbol
 
 __version__ = "0.1.0"

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import math
+import re
 
 from .errors import InputError
 
@@ -9,17 +10,31 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 # bits of a printed numerator or denominator, and of a coefficient that
 # cli forms by ^; past it the command exits 2 instead of printing
 MAX_HEIGHT = 2**16
+_RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 
 
 def parse_rat(text):
-    """Parse "a/b" or "a" into a Fraction."""
+    """Parse "a/b" or "a" into a Fraction.
+
+    Their digit runs convert through parse_int, under its MAX_HEIGHT
+    limit; any other form Fraction accepts is left to Fraction.
+    """
     text = str(text).strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        if len(text) > 40:
-            text = f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
-        raise InputError(f"bad rational literal {text!r}: {exc}") from None
+    shown = text
+    if len(text) > 40:
+        shown = f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        try:
+            return Fraction(text)
+        except ValueError:
+            raise InputError(f"bad rational literal {shown!r}") from None
+    sign, num, den = match.groups()
+    den = parse_int(den) if den else 1
+    if den == 0:
+        raise InputError(f"bad rational literal {shown!r}: zero denominator")
+    value = Fraction(parse_int(num), den)
+    return -value if sign == "-" else value
 
 
 def parse_int(digits):

@@ -1,4 +1,4 @@
-"""0-cycles, Cartier functions, and the Abel-Jacobi map.
+"""0-cycles, Cartier units, and the Abel-Jacobi map.
 
 A 0-cycle lives on the regular locus of the curve.  Because every
 component of the smooth model has genus zero, a degree-0 cycle on a
@@ -11,11 +11,11 @@ computed as a sum of branch residues against dlog of the interpolant.
 A cycle is rationally equivalent to zero exactly when every coordinate
 is the identity.
 
-A Cartier function is the unit certificate: a tuple of rational
-functions, one per component, whose branch expansions at every singular
-point share one nonzero constant term and whose centered jets lie in
-the span of the point's ideal generators (decided through the working
-truncation).
+A Cartier unit is a dict of rational functions, one per component,
+whose branch expansions at every singular point share one nonzero
+constant term and whose centered jets lie in the span of the point's
+ideal generators (decided through the working truncation);
+certify_cartier checks exactly this.
 """
 
 from fractions import Fraction
@@ -81,30 +81,11 @@ def check_cycle_support(cycle, config):
             raise InputError(f"cycle place {p!r} lies over the singular locus")
 
 
-class CartierFunction:
-    """A certified unit along the singular locus.
-
-    certificate maps singular point names to (common value, centered jet
-    vector), the data that witnessed membership in the local ring units.
-    """
-
-    __slots__ = ("funcs", "certificate")
-
-    def __init__(self, funcs, certificate):
-        object.__setattr__(self, "funcs", dict(funcs))
-        object.__setattr__(self, "certificate", dict(certificate))
-
-    def __setattr__(self, *args):
-        raise AttributeError("CartierFunction is immutable")
-
-    def __repr__(self):
-        return f"CartierFunction({self.funcs!r})"
-
-
 def certify_cartier(funcs, config):
-    """Check the unit condition at every singular point; returns the certificate.
+    """Check the unit condition at every singular point.
 
-    Raises NotCartierError with the branch and reason on failure.
+    Returns None; raises NotCartierError with the branch and reason on
+    failure.
     """
     config = validate(config)
     n = config.truncation
@@ -116,7 +97,6 @@ def certify_cartier(funcs, config):
             raise NotCartierError(f"zero function on component {comp}")
         if f.component != comp:
             raise NotCartierError(f"function for {comp} is built on {f.component}")
-    certificate = {}
     for sp in config.singular_points:
         expansions = []
         values = []
@@ -139,8 +119,6 @@ def certify_cartier(funcs, config):
             raise NotCartierError(
                 f"centered jets at {sp.name} are not in the local ring (mod truncation)"
             )
-        certificate[sp.name] = (value, vec)
-    return CartierFunction(funcs, certificate)
 
 
 def is_cartier_unit(funcs, config):
@@ -151,19 +129,16 @@ def is_cartier_unit(funcs, config):
         return False
 
 
-def div_C(f, config):
-    """Divisor of a Cartier function on the regular locus.
+def div_C(funcs, config):
+    """Divisor of a Cartier unit (component -> function) on the regular locus.
 
     The unit condition makes every branch coefficient zero, so the
     result is an honest 0-cycle; its degree vanishes on each component.
     """
-    if isinstance(f, CartierFunction):
-        cart = f
-    else:
-        cart = certify_cartier(f, config)
+    certify_cartier(funcs, config)
     out = {}
     for comp in config.components:
-        for p, m in split_divisor(cart.funcs[comp]).items():
+        for p, m in split_divisor(funcs[comp]).items():
             out[p] = m
     cycle = ZeroCycle(out)
     check_cycle_support(cycle, config)

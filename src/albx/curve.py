@@ -327,26 +327,33 @@ def validate(config):
     return CurveConfig(config.components, new_points, n, validated=True, spans=spans)
 
 
+def modulus_multiplicities(points):
+    """{Place: n} from a modulus given as (Place, n) pairs.
+
+    Every multiplicity must be at least 1 and no place may repeat.
+    """
+    by_place = {p: int(n) for p, n in points}
+    if len(by_place) != len(points):
+        raise InputError("repeated place in modulus")
+    if any(n < 1 for n in by_place.values()):
+        raise InputError("modulus multiplicities must be >= 1")
+    return by_place
+
+
 def curve_from_modulus(points):
     """Singular curve attached to an effective divisor with multiplicities.
 
-    points is a list of (Place, n) with n >= 1.  The result has a single
-    singular point whose branch at p_i has conductor n_i - 1 and ideal
-    generators u^(n_i), ..., u^(2 n_i - 1); functions on the curve are
-    exactly those congruent to a constant to order n_i at every p_i.
+    points is a nonempty list of (Place, n) with n >= 1.  The result has
+    a single singular point whose branch at p_i has conductor n_i - 1 and
+    ideal generators u^(n_i), ..., u^(2 n_i - 1); functions on the curve
+    are exactly those congruent to a constant to order n_i at every p_i.
     """
     if not points:
         raise InputError("empty modulus support")
-    places = [p for p, _ in points]
-    if len(set(places)) != len(places):
-        raise InputError("repeated place in modulus")
-    mults = [int(n) for _, n in points]
-    if any(m < 1 for m in mults):
-        raise InputError("modulus multiplicities must be >= 1")
-    components = sorted({p.component for p in places})
-    truncation = max(m - 1 for m in mults) + 2
-    branches = tuple(sorted(places, key=Place.sort_key))
-    by_place = dict(zip(places, mults))
+    by_place = modulus_multiplicities(points)
+    components = sorted({p.component for p in by_place})
+    truncation = max(by_place.values()) + 1
+    branches = tuple(sorted(by_place, key=Place.sort_key))
     conductors = tuple(by_place[q] - 1 for q in branches)
     generators = []
     for i, q in enumerate(branches):

@@ -564,10 +564,6 @@ class LaurentSeries:
             )
         return self.coeffs.get(e, Fraction(0))
 
-    def residue(self):
-        """Coefficient a_(-1), the series read as coefficients of g in g dt."""
-        return self.coefficient(-1)
-
     def _check(self, other):
         if self.place != other.place:
             raise InputError(f"series at different places: {self.place!r}, {other.place!r}")
@@ -676,7 +672,7 @@ class LaurentSeries:
 
 def residue(series):
     """Coefficient a_(-1) of a Laurent series (as differential g dt)."""
-    return series.residue()
+    return series.coefficient(-1)
 
 
 def _poly_series_finite(poly, place, n):
@@ -729,11 +725,6 @@ def leading_term(f, p):
     vn, cn = f.num.leading_term_at(p.coordinate)
     vd, cd = f.den.leading_term_at(p.coordinate)
     return vn - vd, cn / cd
-
-
-def leading_coefficient(f, p):
-    """Leading Laurent coefficient of f at p (nonzero)."""
-    return leading_term(f, p)[1]
 
 
 def evaluate(f, p):

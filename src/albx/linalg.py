@@ -15,30 +15,13 @@ from math import gcd
 from .arith import common_denominator
 
 
-def _content(row):
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    return g
-
-
-def make_primitive(row):
-    """Divide an integer row by its content; first nonzero entry > 0."""
-    g = _content(row)
-    if g == 0:
-        return list(row)
-    row = [x // g for x in row]
-    for x in row:
-        if x:
-            if x < 0:
-                row = [-y for y in row]
-            break
-    return row
-
-
 def clear_denominators(row):
-    """Scale a row of rationals to a primitive integer row."""
-    return make_primitive(common_denominator(row)[0])
+    """Scale a row of rationals to a primitive integer row, first nonzero entry > 0."""
+    ints = common_denominator(row)[0]
+    g = gcd(*ints)
+    if g and next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints] if g else ints
 
 
 def rational_kernel_basis(rows, ncols):
@@ -127,9 +110,10 @@ class RowSpan:
 def integer_kernel_basis(rows, ncols):
     """Canonical basis of the saturated lattice {x in Z^n : A x = 0}.
 
-    Row-reduce [A^T | I] unimodularly; rows whose left block vanishes
-    carry a basis of the kernel in their right block.  A second Hermite
-    reduction of that basis makes the result unique.
+    Row-reduce [A^T | I] to Hermite normal form; rows whose left block
+    vanishes carry a basis of the kernel in their right block.  Those
+    rows come last and are already in Hermite form among themselves,
+    which is unique, so the result is too.
     """
     rows = [list(r) for r in rows]
     m = len(rows)
@@ -139,8 +123,7 @@ def integer_kernel_basis(rows, ncols):
     for i in range(ncols):
         aug.append([rows[k][i] for k in range(m)] + [int(i == j) for j in range(ncols)])
     reduced = hnf_rows(aug, m + ncols)
-    kernel = [row[m:] for row in reduced if not any(row[:m])]
-    return hnf_rows(kernel, ncols)
+    return [row[m:] for row in reduced if not any(row[:m])]
 
 
 # Former name of the routine above, kept because the benchmark's layer

@@ -129,17 +129,16 @@ class CartierUnitSampler:
             except InputError:
                 basis = []
             if basis:
-                take = basis[: max(MIN_KERNEL, 8)]
-                short = [b for b in take if _l1(b) <= LENGTH_BUDGET]
-                loose = [b for b in take if _l1(b) <= 2 * LENGTH_BUDGET]
+                short = [b for b in basis if _l1(b) <= LENGTH_BUDGET]
+                loose = [b for b in basis if _l1(b) <= 2 * LENGTH_BUDGET]
                 if len(short) >= MIN_KERNEL:
-                    best, best_cols, done = short[:8], self.columns, True
+                    best, best_cols, done = short, self.columns, True
                 elif len(loose) >= MIN_KERNEL:
-                    best, best_cols, done = loose[:8], self.columns, True
+                    best, best_cols, done = loose, self.columns, True
                 else:
-                    score = (-len(short), sum(_l1(b) for b in take[:MIN_KERNEL]))
+                    score = (-len(short), sum(_l1(b) for b in basis[:MIN_KERNEL]))
                     if best_score is None or score < best_score:
-                        best, best_cols, best_score = take, self.columns, score
+                        best, best_cols, best_score = basis, self.columns, score
             if done:
                 break
             pool *= 2
@@ -230,7 +229,7 @@ class CartierUnitSampler:
             basis = lll_reduce(basis)
         basis = _l1_sweep(basis)
         basis.sort(key=_l1)
-        return basis[:12]
+        return basis[:8]
 
     def draw(self, rng):
         """One random unit tuple of degree at most max_unit_degree; always

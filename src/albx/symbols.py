@@ -20,6 +20,7 @@ criterion and never claims the modulus is minimal.
 
 from fractions import Fraction
 
+from .curve import modulus_multiplicities
 from .errors import InputError, NonSplitError
 from .funcfield import (
     INF,
@@ -31,36 +32,6 @@ from .funcfield import (
     split_divisor,
     val_at,
 )
-
-
-class Modulus:
-    """Effective divisor with multiplicities >= 1 (possibly empty)."""
-
-    __slots__ = ("support",)
-
-    def __init__(self, support=()):
-        data = {}
-        items = support.items() if isinstance(support, dict) else support
-        for place, n in items:
-            n = int(n)
-            if n < 1:
-                raise InputError("modulus multiplicities must be >= 1")
-            data[place] = n
-        object.__setattr__(self, "support", data)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Modulus is immutable")
-
-    def places(self):
-        return sorted(self.support, key=Place.sort_key)
-
-    def multiplicity(self, place):
-        return self.support.get(place, 0)
-
-    def __repr__(self):
-        if not self.support:
-            return "Modulus(0)"
-        return "Modulus(" + " + ".join(f"{n}[{p!r}]" for p, n in sorted(self.support.items(), key=lambda kv: kv[0].sort_key())) + ")"
 
 
 def tame_symbol(psi, f, p):
@@ -137,9 +108,11 @@ def reciprocity_check(psi, f, tag):
 def is_modulus(psi, modulus, tag):
     """Does the modulus kill psi on the divisors of functions congruent to 1?
 
-    Serre's local criterion, which is necessary and sufficient.  Raises
-    if psi is singular away from the support.
+    modulus is a list of (Place, n) pairs, possibly empty, validated like
+    curve_from_modulus's.  Serre's local criterion, which is necessary
+    and sufficient.  Raises if psi is singular away from the support.
     """
+    multiplicity = modulus_multiplicities(modulus)
     tag = str(tag).lower()
     if psi.is_zero():
         raise InputError("psi must be nonzero")
@@ -150,12 +123,12 @@ def is_modulus(psi, modulus, tag):
     else:
         raise InputError(f"unknown symbol tag {tag!r}")
     for s in bad:
-        if modulus.multiplicity(s) == 0:
+        if s not in multiplicity:
             raise InputError(f"psi is singular at {s!r}, outside the modulus support")
     if tag == "gm":
-        return True  # any multiplicity >= 1 suffices, which Modulus enforces
+        return True  # any multiplicity >= 1 suffices
     for s in bad:
         pole = -val_at(psi, s)
-        if modulus.multiplicity(s) < pole + 1:
+        if multiplicity[s] < pole + 1:
             return False
     return True

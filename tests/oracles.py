@@ -310,7 +310,7 @@ def dense_closure_rows(sp, truncation):
 
 
 def random_congruent_function(modulus, rng, component="C0", degree=3, height=5):
-    """Seeded random f with f congruent to 1 along the modulus.
+    """Seeded random f with f congruent to 1 along the modulus, (Place, n) pairs.
 
     Built as 1 + g * prod (t-s)^(n_s) for a random small-height
     polynomial g; when infinity carries multiplicity the product is
@@ -324,12 +324,12 @@ def random_congruent_function(modulus, rng, component="C0", degree=3, height=5):
     finite = Poly.const(1)
     n_inf = 0
     taken = set()
-    for p in modulus.places():
+    for p, n in modulus:
         if p.is_infinite():
-            n_inf = modulus.multiplicity(p)
+            n_inf = n
             continue
         taken.add(p.coordinate)
-        finite = finite * Poly.linear(p.coordinate) ** modulus.multiplicity(p)
+        finite = finite * Poly.linear(p.coordinate) ** n
     num = g * finite
     if n_inf:
         b = F(rng.randint(height + 1, 3 * height + 10))

@@ -28,10 +28,21 @@ def test_parse_int_by_halves_up_to_the_height_limit():
 
 
 def test_parse_rat_shortens_long_literals():
-    with pytest.raises(InputError) as info:
-        parse_rat("7" * 5000)
-    message = str(info.value)
-    assert "(5000 characters)" in message and "7" * 41 not in message
+    for text in ("7" * 5000 + "x", "7" * 5000 + "/0"):
+        with pytest.raises(InputError) as info:
+            parse_rat(text)
+        message = str(info.value)
+        assert f"({len(text)} characters)" in message and "7" * 41 not in message
+
+
+def test_parse_rat_converts_digit_runs_by_halves():
+    # Fraction alone refuses a run past 4300 digits; parse_int does not
+    assert parse_rat("7" * 4400) == (10**4400 - 1) // 9 * 7
+    assert parse_rat("-1/" + "3" * 4400) == Fraction(-3, 10**4400 - 1)
+    assert parse_rat("1.5") == Fraction(3, 2)
+    for text in ("9" * 19729, "1/" + "1" + "0" * 30000):
+        with pytest.raises(InputError, match="more than 65536 bits"):
+            parse_rat(text)
 
 
 def test_factorint_small():

@@ -74,6 +74,7 @@ def test_cartier_unit_cusp_needs_flat_jet(cusp):
 
 
 def test_cartier_certificate_reports_reason(node):
+    assert certify_cartier({"C0": (T - 1) * (T - 4) / (T - 2) ** 2}, node) is None
     with pytest.raises(NotCartierError, match="zero or pole"):
         certify_cartier({"C0": T}, node)
     with pytest.raises(NotCartierError, match="disagree"):

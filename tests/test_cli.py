@@ -406,6 +406,35 @@ def test_symbol_integer_literal_past_height_limit_exits_2(digits):
     assert "Traceback" not in err
 
 
+def test_coordinates_past_4300_digits(curve_files, tmp_path):
+    # a --point, a cycle coordinate and a curve-JSON point of 4,400 digits
+    digits = "7" * 4400
+    args = ["symbol", "--tag", "gm", "--psi", "t", "--f", f"t-{digits}", "--point", digits]
+    code, out, err = run_cli(args, timeout=30)
+    assert code == 0 and err == ""
+    assert out == f"(t, t-{digits})_{digits} [gm] = {digits}\n"
+    args = ["chow", curve_files["node"], "--cycle", f"C0:{digits}=+1,C0:2=-1"]
+    code, out, err = run_cli(args, timeout=30)
+    assert code == 0 and err == ""
+    assert f"torus coordinates: [{digits}/2]\n" in out
+    with open(curve_files["node"], encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["singular_points"][0]["branches"][1]["point"] = digits
+    path = tmp_path / "wide_node.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["analyze", str(path)], timeout=30)
+    assert code == 0 and err == ""
+    assert f"lattice basis: +[C0:0]-[C0:{digits}]\n" in out
+
+
+def test_coordinate_past_height_limit_exits_2():
+    args = ["symbol", "--tag", "gm", "--psi", "t", "--f", "t-3", "--point", "1/" + "9" * 19729]
+    code, out, err = run_cli(args, timeout=30)
+    assert code == 2 and out == ""
+    assert "integer literal of more than 65536 bits (19729 digits)" in err
+    assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+
 # --- verify ----------------------------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ from albx.funcfield import (
     dlog,
     evaluate,
     expand_at,
-    leading_coefficient,
+    leading_term,
     rational_roots,
     residue,
     split_divisor,
@@ -219,8 +219,8 @@ def test_evaluate_and_leading_coefficient():
     assert evaluate(T, P0) == 0
     with pytest.raises(ZeroDivisionError):
         evaluate(RatFunc.constant(1) / T, P0)
-    assert leading_coefficient(RatFunc.constant(1) / T**2, P0) == 1
-    assert leading_coefficient((2 * T + 1) / T, PINF) == 2
+    assert leading_term(RatFunc.constant(1) / T**2, P0) == (-2, 1)
+    assert leading_term((2 * T + 1) / T, PINF) == (0, 2)
 
 
 # --- property tests -----------------------------------------------------------

@@ -147,6 +147,7 @@ def test_kernels_match_sympy_nullspace():
 
         integer_rows = [as_primitive_int(r) for r in rows]
         lattice = integer_kernel_basis(integer_rows, n)
+        assert lattice == hnf_rows(lattice, n), rows
         assert len(lattice) == len(oracle), rows
         for v in lattice:
             assert not any(mat_vec(rows, v)), rows

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 from oracles import l1_sweep_reference, lll_reduce_reference
 
 from albx import sampling
-from albx.chow import is_cartier_unit
+from albx.chow import abel_jacobi, certify_cartier, div_C, is_cartier_unit
 from albx.curve import degree_per_component
 from albx.fixtures import modulus_curve
-from albx.funcfield import INF, Place, split_divisor, val_at
+from albx.funcfield import INF, Place, RatFunc, split_divisor, val_at
+from albx.motive import albanese
 from albx.sampling import (
     CartierUnitSampler,
     random_rational,
@@ -72,6 +73,22 @@ def test_sampler_on_modulus_curve_with_rational_support():
     rng = random.Random(5)
     h = sampler.draw(rng)
     assert is_cartier_unit(h, cfg)
+
+
+def test_sampler_jet_row_at_an_infinite_branch():
+    # 2[0]+2[inf] puts a jet condition on the branch at infinity, whose
+    # row holds powers of the pool coordinates
+    cfg = modulus_curve([(Place("C0", 0), 2), (Place("C0", INF), 2)])
+    sampler = CartierUnitSampler(cfg)
+    for b in sampler.basis:
+        factors = [(x, e) for (_, x), e in zip(sampler.columns, b) if e]
+        assert is_cartier_unit({"C0": RatFunc.from_factors(factors)}, cfg), b
+    alb = albanese(cfg)
+    rng = random.Random(12)
+    for _ in range(10):
+        h = sampler.draw(rng)
+        assert certify_cartier(h, cfg) is None
+        assert abel_jacobi(div_C(h, cfg), cfg, alb).is_identity()
 
 
 def test_sampler_draws_vary(node):
