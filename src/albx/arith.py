@@ -10,30 +10,34 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 # bits of a printed numerator or denominator, and of a coefficient that
 # cli forms by ^; past it the command exits 2 instead of printing
 MAX_HEIGHT = 2**16
-_RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+# Fraction's forms, once "_" between digits is dropped: a/b, or a decimal
+_RATIONAL = re.compile(r"([+-]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:e([+-]?)(\d+))?)", re.I)
 
 
 def parse_rat(text):
-    """Parse "a/b" or "a" into a Fraction.
+    """Parse "a/b", "a", or a decimal such as "-2.5e-3" into a Fraction.
 
-    Their digit runs convert through parse_int, under its MAX_HEIGHT
-    limit; any other form Fraction accepts is left to Fraction.
+    Digit runs convert through parse_int, under its MAX_HEIGHT limit.  A
+    decimal n * 10^k is refused unformed when 3k >= MAX_HEIGHT or -3k >=
+    2 MAX_HEIGHT, as 10^|k| > 2^(3|k|) and n cancels at most MAX_HEIGHT bits.
     """
     text = str(text).strip()
     shown = text
     if len(text) > 40:
         shown = f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
-    match = _RATIONAL.fullmatch(text)
+    match = _RATIONAL.fullmatch(re.sub(r"(?<=\d)_(?=\d)", "", text))
     if match is None:
-        try:
-            return Fraction(text)
-        except ValueError:
-            raise InputError(f"bad rational literal {shown!r}") from None
-    sign, num, den = match.groups()
-    den = parse_int(den) if den else 1
-    if den == 0:
+        raise InputError(f"bad rational literal {shown!r}")
+    sign, num, den, frac, exp_sign, exp = match.groups()
+    n, d, e = parse_int(num + (frac or "")), parse_int(den or "1"), parse_int(exp or "0")
+    if d == 0:
         raise InputError(f"bad rational literal {shown!r}: zero denominator")
-    value = Fraction(parse_int(num), den)
+    k = (-e if exp_sign == "-" else e) - len(frac or "")
+    in_range = -2 * MAX_HEIGHT < 3 * k < MAX_HEIGHT
+    value = Fraction(n * 10 ** max(k, 0), d * 10 ** max(-k, 0)) if n and in_range else Fraction(0)
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if n and (not in_range or bits > MAX_HEIGHT):
+        raise InputError(f"rational literal {shown!r} of more than {MAX_HEIGHT} bits")
     return -value if sign == "-" else value
 
 

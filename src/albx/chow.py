@@ -4,10 +4,10 @@ A 0-cycle lives on the regular locus of the curve.  Because every
 component of the smooth model has genus zero, a degree-0 cycle on a
 component is the divisor of an essentially unique rational function
 (monic numerator and denominator), and the cycle's image in the
-universal receptor is read off that interpolant: one multiplicative
-coordinate per lattice basis divisor, evaluated multiplicatively over
-the branch places, and one additive coordinate per Lie basis element,
-computed as a sum of branch residues against dlog of the interpolant.
+universal receptor pairs that interpolant f with the formal group: one
+coordinate prod f(q)^(w_q) per lattice basis divisor w, and one sum of
+branch residues against dlog f per Lie basis element.  abel_jacobi
+reads the first kind off the cycle and builds f only for the second.
 A cycle is rationally equivalent to zero exactly when every coordinate
 is the identity.
 
@@ -19,6 +19,7 @@ certify_cartier checks exactly this.
 """
 
 from fractions import Fraction
+from math import prod
 
 from .arith import format_rat
 from .curve import Divisor, degree_per_component, series_tuple_vector, validate
@@ -246,8 +247,13 @@ def albanese_pairing(funcs, alb):
                 raise NotCartierError(f"function vanishes at branch place {q!r}")
             value *= fv**m
         torus.append(value)
+    return AJPoint(torus, _lie_coordinates(funcs, alb.lie_basis))
+
+
+def _lie_coordinates(funcs, lie_basis):
+    """Sum of Res_q(delta_q dlog f) for each Lie basis element delta."""
     vectorial = []
-    for delta in alb.lie_basis:
+    for delta in lie_basis:
         total = Fraction(0)
         for q in delta.places():
             part = delta.parts[q]
@@ -256,19 +262,35 @@ def albanese_pairing(funcs, alb):
             for e, c in part.coeffs.items():
                 total += c * g.coefficient(-e - 1)
         vectorial.append(total)
-    return AJPoint(torus, vectorial)
+    return vectorial
 
 
 def abel_jacobi(cycle, config, alb):
-    """Image of a degree-0 cycle in the universal receptor."""
+    """Image of a degree-0 cycle in the universal receptor.
+
+    At a finite branch q the interpolant is prod (q - a)^m over the
+    cycle's finite points a on q's component; at a branch at infinity it
+    is 1, being monic over monic of one degree.  Interpolants are built
+    only on components that carry a Lie element.
+    """
     config = validate(config)
     check_cycle_support(cycle, config)
     degrees = degree_per_component(cycle)
     bad = {c: d for c, d in degrees.items() if d}
     if bad:
         raise DegreeError(f"cycle has nonzero degree: {bad}")
-    funcs = {comp: interpolate_divisor(cycle, comp) for comp in config.components}
-    return albanese_pairing(funcs, alb)
+    finite = [(p, m) for p, m in cycle.items() if not p.is_infinite()]
+    torus = [
+        prod(
+            (q.coordinate - p.coordinate) ** (m * w)
+            for q, w in omega.items() if not q.is_infinite()
+            for p, m in finite if p.component == q.component
+        )
+        for omega in alb.etale_basis
+    ]
+    lie = {q.component for delta in alb.lie_basis for q in delta.places()}
+    funcs = {comp: interpolate_divisor(cycle, comp) for comp in lie}
+    return AJPoint(torus, _lie_coordinates(funcs, alb.lie_basis))
 
 
 def rationally_equivalent(cycle, config, alb=None):

@@ -325,13 +325,11 @@ def build_parser():
     p = sub.add_parser("analyze", help="formal group and receptor of a curve")
     p.add_argument("curve", help="curve description (JSON)")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("chow", help="Abel-Jacobi coordinates of a 0-cycle")
     p.add_argument("curve", help="curve description (JSON)")
     p.add_argument("--cycle", required=True, help='e.g. "C0:2=+1,C0:3=-1"')
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_chow)
 
     p = sub.add_parser("symbol", help="local symbols on the projective line")
     p.add_argument("--tag", choices=("gm", "ga"), required=True)
@@ -339,25 +337,26 @@ def build_parser():
     p.add_argument("--f", required=True, help="rational expression in t")
     p.add_argument("--point", help="single place; omit for the full table")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_symbol)
 
     p = sub.add_parser("verify", help="run the exact invariant suites")
     p.add_argument("curve", nargs="?", help="optional curve description (JSON)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
+# built once per process; parse_args leaves the parser unchanged
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "trials", 1) < 1:
         sys.stderr.write("error: trials must be >= 1\n")
         return 2
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except AlbxError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

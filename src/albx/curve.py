@@ -6,12 +6,14 @@ Each singular point names its fiber of branch places and certifies the
 complete local ring by a finite set of generators of its maximal ideal,
 written inside the product of the branch-local power series rings and
 stored through the working truncation order.  Ordinary (seminormal)
-points need no explicit data; their generators are synthesized.
+points need no explicit data.
 
-validate() is the gatekeeper: it checks the conductor condition
-(branchwise m^(n+1) powers land in the span generated by the declared
-generators) by exact linear algebra and attaches the computed span,
-which downstream kernel and membership computations reuse.
+validate() is the gatekeeper: at explicit points it checks the
+conductor condition (branchwise m^(n+1) powers land in the span
+generated by the declared generators) by exact linear algebra, and it
+attaches the span, which downstream kernel and membership computations
+reuse.  An ordinary point's maximal ideal holds every u^k on every
+branch, so its span is written down, and its conductor is 0.
 """
 
 from fractions import Fraction
@@ -106,8 +108,8 @@ class SingularPoint:
 
     generators are tuples over the branches; entry i is the local series
     of the generator on branch i (None meaning zero there).  kind is
-    "ordinary" for seminormal gluing, in which case conductors and
-    generators are synthesized by validate().
+    "ordinary" for seminormal gluing, which needs no generators: its
+    maximal ideal is u on every branch, and validate() sets conductors 0.
     """
 
     __slots__ = ("name", "branches", "kind", "conductors", "generators")
@@ -198,8 +200,7 @@ def _support(tup):
 def _closure_span(sp, generators, truncation):
     """Span of all products of generators, modulo the truncation order.
 
-    A product is zero unless its factors are nonzero on a shared branch,
-    so an ordinary r-fold point forms r products per round, not r^2.
+    A product is zero unless its factors are nonzero on a shared branch.
     """
     span = RowSpan(len(sp.branches) * truncation)
     gens = [(g, _support(g)) for g in generators]
@@ -219,22 +220,12 @@ def _closure_span(sp, generators, truncation):
     return span
 
 
-def _synth_ordinary(sp, truncation):
-    """Seminormal gluing: the maximal ideal is the full branchwise sum."""
-    gens = []
-    for i, q in enumerate(sp.branches):
-        tup = [None] * len(sp.branches)
-        tup[i] = LaurentSeries.monomial(q, 1, 1, truncation)
-        gens.append(tuple(tup))
-    return tuple(gens)
-
-
 def validate(config):
     """Check all configuration invariants; returns the checked config.
 
-    For ordinary points, conductors (all zero) and generators are filled
-    in.  For explicit points the conductor condition is verified by
-    linear algebra on coefficient vectors through the truncation order.
+    For ordinary points, conductors (all zero) and the full span are
+    filled in.  For explicit points the conductor condition is verified
+    by linear algebra on coefficient vectors through the truncation order.
     """
     if config.validated:
         return config
@@ -262,8 +253,7 @@ def validate(config):
                 raise ValidationError(f"branch {q!r} used by more than one singular point")
             seen_branches.add(q)
         if sp.kind == "ordinary":
-            conductors = (0,) * len(sp.branches)
-            generators = _synth_ordinary(sp, n)
+            conductors, generators = (0,) * len(sp.branches), None
         elif sp.kind == "explicit":
             if sp.conductors is None or len(sp.conductors) != len(sp.branches):
                 raise ValidationError(f"{sp.name}: need one conductor per branch")
@@ -312,6 +302,10 @@ def validate(config):
 
     spans = {}
     for sp in new_points:
+        if sp.kind == "ordinary":
+            # the maximal ideal holds every u^k on every branch
+            spans[sp.name] = RowSpan.full(len(sp.branches) * n)
+            continue
         span = _closure_span(sp, sp.generators, n)
         for i, q in enumerate(sp.branches):
             for e in range(sp.conductors[i] + 1, n + 1):

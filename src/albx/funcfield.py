@@ -83,13 +83,14 @@ def format_coordinate(coord):
 class Place:
     """A Q-rational point of one projective-line component."""
 
-    __slots__ = ("component", "coordinate")
+    __slots__ = ("component", "coordinate", "_hash")
 
     def __init__(self, component, coordinate):
         object.__setattr__(self, "component", str(component))
         if coordinate is not INF:
             coordinate = Fraction(coordinate)
         object.__setattr__(self, "coordinate", coordinate)
+        object.__setattr__(self, "_hash", hash((self.component, coordinate)))
 
     def __setattr__(self, *args):
         raise AttributeError("Place is immutable")
@@ -110,7 +111,7 @@ class Place:
         )
 
     def __hash__(self):
-        return hash((self.component, self.coordinate))
+        return self._hash
 
     def __repr__(self):
         return f"{self.component}:{format_coordinate(self.coordinate)}"

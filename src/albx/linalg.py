@@ -70,6 +70,13 @@ class RowSpan:
         self.ncols = ncols
         self._rows = {}  # pivot column -> sparse row
 
+    @classmethod
+    def full(cls, ncols):
+        """The whole space, spanned by the unit vectors."""
+        span = cls(ncols)
+        span._rows = {c: {c: Fraction(1)} for c in range(ncols)}
+        return span
+
     @property
     def rank(self):
         return len(self._rows)

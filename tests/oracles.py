@@ -37,6 +37,15 @@ def jet_vector(tup, r, n):
     return out
 
 
+def point_generators(sp):
+    """A point's ideal generators as branch tuples of {exponent: coeff} (None = 0);
+    at an ordinary point, u on each branch."""
+    if sp.kind == "ordinary":
+        r = len(sp.branches)
+        return [tuple({1: F(1)} if j == i else None for j in range(r)) for i in range(r)]
+    return [tuple(None if s is None else dict(s.coeffs) for s in tup) for tup in sp.generators]
+
+
 def jet_product(t1, t2, n):
     """Branchwise product of two branch tuples, truncated above u^n."""
     out = []
@@ -68,10 +77,7 @@ def oracle_formal_group(cfg):
     lie_vectors = []
     for sp in cfg.singular_points:
         r = len(sp.branches)
-        gens = [
-            tuple(None if s is None else dict(s.coeffs) for s in tup)
-            for tup in sp.generators
-        ]
+        gens = point_generators(sp)
         closure = list(gens)
         frontier = list(gens)
         while frontier:
@@ -292,7 +298,7 @@ def dense_closure_rows(sp, truncation):
     order.
     """
     n, r = truncation, len(sp.branches)
-    gens = [tuple(None if s is None else dict(s.coeffs) for s in tup) for tup in sp.generators]
+    gens = point_generators(sp)
     span = DenseRowSpan(r * n)
     frontier = [g for g in gens if span.add(jet_vector(g, r, n))]
     while frontier:

@@ -60,3 +60,23 @@ def test_factorint_large_composite():
         prod *= p**e
     assert prod == n
 
+
+
+def test_parse_rat_decimals_and_exponents():
+    cases = {
+        "1e3": 1000, "1.5": Fraction(3, 2), "-2.5e-3": Fraction(-1, 400), "5.": 5,
+        ".5": Fraction(1, 2), "+.5E+2": 50, "1_000": 1000, "1_0.2_5e1": Fraction(1025, 10),
+        "00012.3400": Fraction(617, 50),
+    }
+    for text, value in cases.items():
+        assert parse_rat(text) == Fraction(text) == value
+    assert parse_rat("0e99999999999") == 0  # Fraction would form 10^99999999999 first
+    # 10^19728 has 65,535 bits and 10^19729 has 65,539; 5 * 10^-19729 = 1 / (2 * 10^19728)
+    assert parse_rat("1e19728") == 10**19728 and parse_rat("1e-19728") == Fraction(1, 10**19728)
+    assert parse_rat("5e-19729") == Fraction(1, 2 * 10**19728)
+    for text in ("1e19729", "1e-19729", "1e10000000", "1e-10000000", "2e-65536", "1e" + "9" * 30):
+        with pytest.raises(InputError, match="of more than 65536 bits"):
+            parse_rat(text)
+    for text in ("1__0", "_1", "1._5", "3 / 4", ".", "e5", "1e", "1e+_5", "inf"):
+        with pytest.raises(InputError, match="bad rational literal"):
+            parse_rat(text)

@@ -16,7 +16,9 @@ from albx.chow import (
 )
 from albx.curve import degree_per_component
 from albx.errors import DegreeError, InputError, NotCartierError
+from albx.fixtures import line_chain, modulus_curve, zoo
 from albx.funcfield import INF, Place, Poly, RatFunc, dlog, expand_at
+from albx.infdiv import FormalGroupData
 from albx.motive import albanese
 from albx.sampling import CartierUnitSampler, random_rational, random_zero_cycle
 
@@ -217,6 +219,65 @@ def test_scaling_invariance(whole_zoo):
             c: f * random_rational(rng, 9, nonzero=True) for c, f in funcs.items()
         }
         assert albanese_pairing(funcs, alb) == albanese_pairing(scaled, alb)
+
+
+def _cycle_off_branches(cfg, rng):
+    """Degree-0 cycle of 2 to 6 points on most components, off the branch
+    places, with a point at infinity where that is not a branch place."""
+    branch = cfg.branch_place_set()
+    out = {}
+    for comp in cfg.components:
+        if rng.random() < 0.25:
+            continue
+        size, places = rng.randint(2, 6), set()
+        if Place(comp, INF) not in branch and rng.random() < 0.4:
+            places.add(Place(comp, INF))
+        while len(places) < size:
+            p = Place(comp, random_rational(rng, rng.choice((9, 99, 2**20))))
+            if p not in branch:
+                places.add(p)
+        places = sorted(places, key=Place.sort_key)
+        mults = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in places[1:]]
+        out.update(zip(places, [-sum(mults)] + mults))
+    return ZeroCycle(out)
+
+
+def test_abel_jacobi_matches_pairing_of_interpolants():
+    """abel_jacobi reads the torus coordinates off the cycle and builds
+    interpolants only for the Lie part; albanese_pairing evaluates every
+    interpolant.  The two must agree, on the lattice part of the receptor
+    for every cycle and on the whole receptor for every fifth, since both
+    compute the Lie part by one routine."""
+    curves = zoo()
+    curves["triangle"] = line_chain(3, ["ordinary"] * 3)
+    curves["tacnode chain"] = line_chain(3, ["tacnode", "ordinary"])
+    for spec in (((0, 2), (1, 2)), ((0, 4),), ((0, 3), (1, 2), (INF, 2))):
+        curves[str(spec)] = modulus_curve([(Place("C0", a), n) for a, n in spec])
+    albs = {name: albanese(cfg) for name, cfg in curves.items()}
+    lattices = {name: FormalGroupData(alb.etale_basis) for name, alb in albs.items()}
+    names = sorted(curves)
+    rng = random.Random(1212)
+    seen = dict.fromkeys(("point at inf", "empty component", "branch at inf", "torus", "lie"), 0)
+    for k in range(1100):
+        name = names[k % len(names)]
+        cfg, alb = curves[name], albs[name]
+        cycle = _cycle_off_branches(cfg, rng)
+        funcs = {c: interpolate_divisor(cycle, c) for c in cfg.components}
+        if k // len(names) % 5 == 0:  # every fifth round over the curves
+            point = abel_jacobi(cycle, cfg, alb)
+            assert point == albanese_pairing(funcs, alb), (name, cycle)
+        else:
+            point = abel_jacobi(cycle, cfg, lattices[name])
+            assert point == albanese_pairing(funcs, lattices[name]), (name, cycle)
+        used = {p.component for p in cycle.places()}
+        seen["point at inf"] += any(p.is_infinite() for p in cycle.places())
+        seen["empty component"] += used != set(cfg.components)
+        seen["branch at inf"] += any(
+            q.is_infinite() and q.component in used for w in alb.etale_basis for q, _ in w.items()
+        )
+        seen["torus"] += any(x != 1 for x in point.torus)
+        seen["lie"] += any(point.vectorial)
+    assert min(seen.values()) >= 50, seen
 
 
 # --- equivalence decision -------------------------------------------------------------

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
+from pathlib import Path
 import subprocess
 import sys
 
 import pytest
 
+import albx
 from albx.cli import main, parse_expression
 from albx.curve import CurveConfig, SingularPoint, config_to_json
 from albx.errors import InputError
@@ -30,12 +35,18 @@ def curve_files(tmp_path_factory):
     return paths
 
 
+# the subprocess imports the albx that these tests import
+SRC = str(Path(albx.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.getenv("PYTHONPATH")))))
+
+
 def run_cli(args, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "albx.cli", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -433,6 +444,57 @@ def test_coordinate_past_height_limit_exits_2():
     assert code == 2 and out == ""
     assert "integer literal of more than 65536 bits (19729 digits)" in err
     assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("point", ["1e10000000", "1e-10000000"])
+def test_coordinate_exponent_past_height_limit_exits_2(point):
+    # Fraction alone spends 18 s forming 10^10000000
+    args = ["symbol", "--tag", "gm", "--psi", "t", "--f", "t-3", "--point", point]
+    code, out, err = run_cli(args, timeout=5)
+    assert code == 2 and out == ""
+    assert err == f"error: rational literal '{point}' of more than 65536 bits\n"
+
+
+def test_decimal_coordinates(curve_files):
+    # 1/f at the zero -1/400 of psi
+    args = ["symbol", "--tag", "gm", "--psi", "400*t+1", "--f", "t-3", "--point=-2.5e-3"]
+    assert run_cli(args) == (0, "(400*t+1, t-3)_-2.5e-3 [gm] = -400/1201\n", "")
+    code, out, _ = run_cli(["chow", curve_files["node"], "--cycle", "C0:1e3=+1,C0:1.5=-1"])
+    # the node glues 0 to infinity: (0 - 1000) / (0 - 3/2)
+    assert code == 0
+    assert out.startswith("cycle: C0:3/2=-1,C0:1000=+1\ntorus coordinates: [2000/3]\n")
+
+
+def test_parser_reused_across_calls(curve_files, monkeypatch):
+    """Calls in one process print what fresh processes print."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
+    calls = [
+        ["analyze", curve_files["cusp"], "--format", "json"],
+        ["chow", curve_files["tacnode"], "--cycle", "C0:2=+1,C0:3=-1"],
+        ["symbol", "--tag", "ga", "--psi", "1/t^2", "--f", "(t-2)/(t+3)"],
+        ["chow", curve_files["node"]],
+        ["--help"],
+        ["symbol", "--tag", "gm", "--psi", "t", "--f", "t-3", "--point=7/3", "--format", "json"],
+        ["analyze", curve_files["node"]],
+    ]
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        fresh = subprocess.run(
+            [sys.executable, "-m", "albx.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(ENV, COLUMNS="80"),
+        )
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
 
 
 # --- verify ----------------------------------------------------------------------------

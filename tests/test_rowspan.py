@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import random
 
 from albx.curve import CurveConfig, SingularPoint, curve_from_modulus, validate
-from albx.fixtures import tacnode_point, zoo
+from albx.fixtures import line_chain, tacnode_point, zoo
 from albx.funcfield import INF, LaurentSeries, Place
 from albx.linalg import RowSpan, rational_kernel_basis
 from oracles import DenseRowSpan, dense_closure_rows, rational_kernel_basis_reference
@@ -83,9 +83,20 @@ def test_row_span_matches_dense_reference():
     assert outside > CASES  # the outside probes are mostly outside
 
 
-def _rfold(r):
+def _rfold(r, n=2):
     branches = tuple(Place("C0", k) for k in range(r - 1)) + (Place("C0", INF),)
-    return CurveConfig(["C0"], [SingularPoint("p", branches)], 2)
+    return CurveConfig(["C0"], [SingularPoint("p", branches)], n)
+
+
+def _lines(rng):
+    """Chains and cycles of 2 to 6 lines: nodes only, and seeded mixes with tacnodes."""
+    out = []
+    for k in range(2, 7):
+        for closed in (0, 1):
+            out.append(line_chain(k, ["ordinary"] * (k - 1 + closed)))
+            kinds = [rng.choice(("ordinary", "tacnode")) for _ in range(k - 1 + closed)]
+            out.append(line_chain(k, kinds))
+    return out
 
 
 def _explicit(kind, n):
@@ -112,9 +123,10 @@ def _moduli(count):
 
 def test_mhat_span_matches_dense_closure():
     configs = [_rfold(r) for r in range(2, 17)]
+    configs += [_rfold(r, n) for r in range(2, 13) for n in range(3, 9)]
     configs += [_explicit(kind, n) for kind in ("cusp", "tacnode") for n in (10, 20, 40, 80)]
     configs += _moduli(48)
-    checked = [validate(cfg) for cfg in configs] + list(zoo().values())
+    checked = [validate(cfg) for cfg in configs] + list(zoo().values()) + _lines(random.Random(7))
     for cfg in checked:
         for sp in cfg.singular_points:
             expected = dense_closure_rows(sp, cfg.truncation)
