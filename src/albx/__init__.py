@@ -34,8 +34,8 @@ from .funcfield import (
     RatFunc,
     dlog,
     expand_at,
+    leading_term,
     residue,
-    val_at,
 )
 from .infdiv import (
     FormalGroupData,

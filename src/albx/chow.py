@@ -33,7 +33,6 @@ from .funcfield import (
     format_coordinate,
     parse_coordinate,
     split_divisor,
-    val_at,
 )
 from .motive import albanese
 
@@ -102,10 +101,9 @@ def certify_cartier(funcs, config):
         expansions = []
         values = []
         for q in sp.branches:
-            f = funcs[q.component]
-            if val_at(f, q) != 0:
+            series = expand_at(funcs[q.component], q, n)
+            if series.lead_bound() != 0:
                 raise NotCartierError(f"function has a zero or pole at branch {q!r}")
-            series = expand_at(f, q, n)
             values.append(series.coefficient(0))
             expansions.append(series)
         value = values[0]

@@ -226,7 +226,6 @@ def cmd_analyze(args):
 def cmd_chow(args):
     config = validate(load_config(args.curve))
     cycle = ZeroCycle.from_string(args.cycle)
-    alb = albanese(config)
     degrees = degree_per_component(cycle)
     if any(degrees.values()):
         payload = {
@@ -238,7 +237,7 @@ def cmd_chow(args):
         lines = [f"cycle: {cycle.to_string()}", "equivalent: false (nonzero degree)"]
         sys.stdout.write(_emit(payload, args.format, lines))
         return 0
-    point = abel_jacobi(cycle, config, alb)
+    point = abel_jacobi(cycle, config, albanese(config))
     verdict = point.is_identity()
     payload = {
         "cycle": cycle.to_string(),

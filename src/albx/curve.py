@@ -273,7 +273,7 @@ def validate(config):
                         continue
                     if series.place != q:
                         raise ValidationError(f"{sp.name}: generator series at wrong place")
-                    if series.leading_exponent() < 1:
+                    if series.lead_bound() < 1:
                         raise ValidationError(
                             f"{sp.name}: generator has nonpositive leading exponent"
                         )

@@ -18,14 +18,15 @@ Design choices worth knowing:
     including infinity,
   * products, powers, multiplicities and Taylor shifts of polynomials
     run on integer numerators over one common denominator, a power by
-    J.C.P. Miller's recurrence; series inverses follow the linear
-    recurrence of their coefficients, and a residue of a product is one
+    J.C.P. Miller's recurrence, and a residue of a product is one
     convolution, not a product,
-  * the valuation and the leading coefficient of a function at a place
-    come together from leading_term, with no series: at a finite point
-    one synthetic-division sweep per polynomial (the one that also
-    counts multiplicities and rational roots), at infinity the degrees
-    and leading coefficients,
+  * every local fact about a function at a place (valuation, leading
+    coefficient, expansion) comes from one local form, _local: at a
+    finite point one synthetic-division sweep per polynomial (the one
+    that also counts rational roots) and a Taylor shift of the unit
+    cofactor only, at infinity the degrees and the coefficients read
+    from the top, then one division of unit series over the
+    denominator's nonzero terms; expand_at and leading_term read it,
   * RatFunc runs Euclid only on a quotient of two polynomials of
     positive degree; constants, scalar multiples and integer powers of
     a reduced ratio are reduced already,
@@ -196,8 +197,6 @@ class Poly:
         d = da * db
         return Poly([Fraction(c, d) for c in out])
 
-    __rmul__ = __mul__
-
     def __pow__(self, n):
         """self^n by J.C.P. Miller's recurrence (Knuth, TAOCP 2, 4.7).
 
@@ -261,57 +260,6 @@ class Poly:
 
     def derivative(self):
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def shifted_coefficients(self, a, upto):
-        """First upto+1 coefficients of p(a + u) as a series in u.
-
-        With a = r/q and p = P/d, P integral of degree n, the integer
-        polynomial h(x) = q^n P(x/q) gives p(a + u) = h(r + q u) / (d q^n);
-        h is Taylor-shifted by r in integers, and pass i of the shift
-        fixes coefficient i, so only upto + 1 passes run.
-        """
-        a = Fraction(a)
-        r, q = a.numerator, a.denominator
-        h, d = common_denominator(self.coeffs)
-        n = len(h) - 1
-        h = [c * q ** (n - i) for i, c in enumerate(h)]
-        for i in range(min(upto + 1, n)):
-            for j in range(n - 1, i - 1, -1):
-                h[j] += r * h[j + 1]
-        d *= q**n
-        return [Fraction(h[k] * q**k, d) if k <= n else Fraction(0) for k in range(upto + 1)]
-
-    def multiplicity_at(self, a):
-        """Order of vanishing at the finite point a."""
-        if self.is_zero():
-            raise UndefinedValuationError("zero polynomial")
-        a = Fraction(a)
-        return _strip_linear(self.primitive_int(), a.numerator, a.denominator)[0]
-
-    def leading_term_at(self, a):
-        """(m, c) with self = c (t - a)^m + O((t - a)^(m + 1)) and c != 0.
-
-        With a = r/q and self = P/d, P integral, the sweep of multiplicity_at
-        writes P = (q t - r)^m b with b(a) != 0, so c = q^m b(a) / d, and
-        q^(deg b) b(a) is a homogeneous Horner sum in integers.
-        """
-        if self.is_zero():
-            raise UndefinedValuationError("zero polynomial")
-        a = Fraction(a)
-        r, q = a.numerator, a.denominator
-        ints, d = common_denominator(self.coeffs)
-        m, b = _strip_linear(ints, r, q)
-        acc, qk = b[-1], 1
-        for c in reversed(b[:-1]):
-            qk *= q
-            acc = acc * r + c * qk
-        return m, Fraction(acc * q**m, d * qk)
 
     def __repr__(self):
         if self.is_zero():
@@ -502,17 +450,6 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})"
 
 
-def val_at(f, p):
-    """Order of vanishing of f at the place p (negative at a pole)."""
-    if f.is_zero():
-        raise UndefinedValuationError("valuation of the zero function")
-    if p.component != f.component:
-        raise InputError(f"place {p!r} not on component {f.component}")
-    if p.is_infinite():
-        return f.den.degree - f.num.degree
-    return f.num.multiplicity_at(p.coordinate) - f.den.multiplicity_at(p.coordinate)
-
-
 class LaurentSeries:
     """Finitely many exact coefficients of a local Laurent expansion.
 
@@ -538,25 +475,12 @@ class LaurentSeries:
         raise AttributeError("LaurentSeries is immutable")
 
     @classmethod
-    def zero(cls, place, truncation):
-        return cls(place, truncation, {})
-
-    @classmethod
     def monomial(cls, place, exponent, coeff, truncation):
         return cls(place, truncation, {exponent: coeff})
-
-    def is_zero(self):
-        """All stored coefficients vanish (says nothing past truncation)."""
-        return not self.coeffs
 
     def lead_bound(self):
         """Exponent below which every coefficient is certainly zero."""
         return min(self.coeffs) if self.coeffs else self.truncation + 1
-
-    def leading_exponent(self):
-        if not self.coeffs:
-            raise UndefinedValuationError("series is zero through truncation")
-        return min(self.coeffs)
 
     def coefficient(self, e):
         if e > self.truncation:
@@ -578,16 +502,12 @@ class LaurentSeries:
         )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentSeries(self.place, self.truncation, {0: other})
         self._check(other)
         n = min(self.truncation, other.truncation)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, Fraction(0)) + c
         return LaurentSeries(self.place, n, out)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return LaurentSeries(self.place, self.truncation, {e: -c for e, c in self.coeffs.items()})
@@ -597,17 +517,11 @@ class LaurentSeries:
             other = LaurentSeries(self.place, self.truncation, {0: other})
         return self + (-other)
 
-    def scale(self, c):
-        c = Fraction(c)
-        return LaurentSeries(self.place, self.truncation, {e: c * x for e, x in self.coeffs.items()})
-
     def _product_truncation(self, other):
         self._check(other)
         return min(self.truncation + other.lead_bound(), other.truncation + self.lead_bound())
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         n = self._product_truncation(other)
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -616,8 +530,6 @@ class LaurentSeries:
                 if e <= n:
                     out[e] = out.get(e, Fraction(0)) + c1 * c2
         return LaurentSeries(self.place, n, out)
-
-    __rmul__ = __mul__
 
     def product_coefficient(self, other, e):
         """Coefficient at exponent e of self * other, as one convolution."""
@@ -628,32 +540,6 @@ class LaurentSeries:
             )
         b = other.coeffs
         return sum((c * b[e - k] for k, c in self.coeffs.items() if e - k in b), Fraction(0))
-
-    def shift(self, k):
-        """Multiply by u^k."""
-        return LaurentSeries(
-            self.place, self.truncation + k, {e + k: c for e, c in self.coeffs.items()}
-        )
-
-    def truncate(self, n):
-        if n > self.truncation:
-            raise InsufficientTruncationError(
-                f"cannot extend truncation {self.truncation} to {n}"
-            )
-        return LaurentSeries(self.place, n, self.coeffs)
-
-    def inverse(self):
-        if not self.coeffs:
-            raise ZeroDivisionError("cannot invert a series that is zero through truncation")
-        m = self.leading_exponent()
-        c = self.coeffs[m]
-        n = self.truncation - m
-        # u^(-m) self / c = 1 + w, and b = 1/(1 + w) solves b_k = -sum_j w_j b_(k-j)
-        w = [(e - m, x / c) for e, x in self.coeffs.items() if e != m]
-        b = [Fraction(1)]
-        for k in range(1, n + 1):
-            b.append(-sum((x * b[k - j] for j, x in w if j <= k), Fraction(0)))
-        return LaurentSeries(self.place, n - m, {k - m: x / c for k, x in enumerate(b)})
 
     def to_json(self):
         return {str(e): format_rat(c) for e, c in self.coeffs.items()}
@@ -676,56 +562,92 @@ def residue(series):
     return series.coefficient(-1)
 
 
-def _poly_series_finite(poly, place, n):
-    if poly.is_zero():
-        return LaurentSeries.zero(place, n)
-    upto = min(n, poly.degree) if n >= 0 else -1
-    if upto < 0:
-        return LaurentSeries.zero(place, n)
-    cs = poly.shifted_coefficients(place.coordinate, upto)
-    return LaurentSeries(place, n, {e: c for e, c in enumerate(cs)})
+def _unit_series(m, b, d, r, q, k):
+    """Coefficients of u^0 .. u^min(k, deg b) of q^m b(a + u) / d at a = r/q, b integral.
+
+    With n = deg b, h(x) = q^n b(x/q) is integral and q^n b(a + u) =
+    h(r + q u).  For k = 0 that is h(r), one homogeneous Horner sum;
+    otherwise pass j of the Taylor shift of h by r fixes its coefficient
+    j, so only k + 1 passes run.
+    """
+    n = len(b) - 1
+    if k == 0:
+        acc, qn = b[-1], 1
+        for c in reversed(b[:-1]):
+            qn *= q
+            acc = acc * r + c * qn
+        return [Fraction(acc * q**m, d * qn)]
+    h, qi = list(b), 1
+    for i in range(n, -1, -1):
+        h[i] *= qi
+        qi *= q
+    for j in range(min(k + 1, n)):
+        for i in range(n - 1, j - 1, -1):
+            h[i] += r * h[i + 1]
+    out, qj, dq = [], q**m, d * q**n
+    for x in h[: k + 1]:
+        out.append(Fraction(x * qj, dq))
+        qj *= q
+    return out
 
 
-def _poly_series_infinite(poly, place, n):
-    # p(1/s) is a finite Laurent polynomial in s, exact at every order
-    return LaurentSeries(place, n, {-k: c for k, c in enumerate(poly.coeffs)})
+def _local(f, p, n=None):
+    """(v, [c_0, ..., c_k]) with f = u^v (c_0 + c_1 u + ... + c_k u^k + O(u^(k+1)))
+    in the local coordinate u at p and c_0 != 0, where k = n - v reaches
+    exponent n (k = 0 when n is None or below v).
 
-
-def expand_at(f, p, n):
-    """Laurent expansion of f at p, exact through exponent n."""
-    if f.is_zero():
-        raise UndefinedValuationError("cannot expand the zero function")
-    if p.component != f.component:
-        raise InputError(f"place {p!r} not on component {f.component}")
-    if p.is_infinite():
-        dn, dd = f.num.degree, f.den.degree
-        num_s = _poly_series_infinite(f.num, p, n - dd)
-        den_s = _poly_series_infinite(f.den, p, max(n - 2 * dd + dn, -dd))
-        return (num_s * den_s.inverse()).truncate(n)
-    a = p.coordinate
-    vn = f.num.multiplicity_at(a)
-    vd = f.den.multiplicity_at(a)
-    num_s = _poly_series_finite(f.num, p, n + vd)
-    den_s = _poly_series_finite(f.den, p, max(n + 2 * vd - vn, vd))
-    return (num_s * den_s.inverse()).truncate(n)
-
-
-def leading_term(f, p):
-    """(v, c) with f = c u^v + O(u^(v + 1)) in the local coordinate u at p, c != 0.
-
-    At a finite place this is one sweep per polynomial (Poly.leading_term_at);
-    at infinity, with u = 1/t, it is read off the degrees and leading
-    coefficients.
+    Each polynomial is read once.  At infinity, u = 1/t, a polynomial of
+    degree m is u^(-m) times its coefficients from the top.  At a = r/q a
+    polynomial I/d, I integral, is swept once by _strip_linear into
+    I = (q t - r)^m b = (q u)^m b(a + u) with b(a) != 0, and only b is
+    expanded (_unit_series).  The unit part of f is one division of the
+    numerator's unit series by the denominator's, over the denominator's
+    nonzero terms.
     """
     if f.is_zero():
         raise UndefinedValuationError("valuation of the zero function")
     if p.component != f.component:
         raise InputError(f"place {p!r} not on component {f.component}")
-    if p.is_infinite():
-        return f.den.degree - f.num.degree, f.num.leading() / f.den.leading()
-    vn, cn = f.num.leading_term_at(p.coordinate)
-    vd, cd = f.den.leading_term_at(p.coordinate)
-    return vn - vd, cn / cd
+    a = p.coordinate
+    if a is INF:
+        v = f.den.degree - f.num.degree
+        k = 0 if n is None else max(n - v, 0)
+        num = f.num.coeffs[: -k - 2 : -1]
+        den = f.den.coeffs[: -k - 2 : -1]
+    else:
+        r, q = a.numerator, a.denominator
+        ints, dn = common_denominator(f.num.coeffs)
+        vn, bn = _strip_linear(ints, r, q)
+        ints, dd = common_denominator(f.den.coeffs)
+        vd, bd = _strip_linear(ints, r, q)
+        v = vn - vd
+        k = 0 if n is None else max(n - v, 0)
+        num = _unit_series(vn, bn, dn, r, q, k)
+        den = _unit_series(vd, bd, dd, r, q, k)
+    if k == 0:
+        return v, [num[0] / den[0]]
+    tail = [(i, y) for i, y in enumerate(den[1:], 1) if y]
+    c = []
+    for j in range(k + 1):
+        x = num[j] if j < len(num) else 0
+        for i, y in tail:
+            if i > j:
+                break
+            x -= y * c[j - i]
+        c.append(x / den[0])
+    return v, c
+
+
+def expand_at(f, p, n):
+    """Laurent expansion of f at p, exact through exponent n."""
+    v, c = _local(f, p, n)
+    return LaurentSeries(p, n, {v + j: x for j, x in enumerate(c)})
+
+
+def leading_term(f, p):
+    """(v, c) with f = c u^v + O(u^(v + 1)) in the local coordinate u at p, c != 0."""
+    v, (c,) = _local(f, p)
+    return v, c
 
 
 def evaluate(f, p):
@@ -739,17 +661,18 @@ def evaluate(f, p):
 def dlog(f, p, n):
     """Series g with df/f = g du in the local coordinate u at p.
 
-    At infinity the chain rule for u = 1/t is already folded in, so
-    residue(dlog(f, p, n)) = val_at(f, p) holds at every place.
+    At infinity the chain rule for u = 1/t, dt = -u^(-2) du, is already
+    folded in, so residue(dlog(f, p, n)) is the valuation of f at p at
+    every place.
     """
     if f.is_zero():
         raise UndefinedValuationError("dlog of the zero function")
     g = f.dlog_ratfunc()
     if g.is_zero():
-        return LaurentSeries.zero(p, n)
+        return LaurentSeries(p, n)
     if p.is_infinite():
-        h = expand_at(g, p, n + 2)
-        return (-h.shift(-2)).truncate(n)
+        v, c = _local(g, p, n + 2)
+        return LaurentSeries(p, n, {v + j - 2: -x for j, x in enumerate(c)})
     return expand_at(g, p, n)
 
 

@@ -49,15 +49,21 @@ def random_split_pair(rng, component="C0", max_factors=5, height=10):
     )
 
 
-def random_zero_cycle(config, rng, points=4, height=12):
+# random_zero_cycle puts 2 to CYCLE_POINTS points of height at most
+# CYCLE_HEIGHT on each component.
+CYCLE_POINTS = 4
+CYCLE_HEIGHT = 12
+
+
+def random_zero_cycle(config, rng):
     """Random degree-0 cycle per component, avoiding the branch places."""
     branch = config.branch_place_set()
     out = {}
     for comp in config.components:
-        k = rng.randint(2, max(2, points))
+        k = rng.randint(2, CYCLE_POINTS)
         coords = set()
         while len(coords) < k:
-            a = random_rational(rng, height)
+            a = random_rational(rng, CYCLE_HEIGHT)
             if Place(comp, a) not in branch:
                 coords.add(a)
         coords = sorted(coords)
@@ -153,7 +159,6 @@ class CartierUnitSampler:
         below every finite branch coordinate."""
         cfg = self.config
         self.columns = []  # (component, coordinate)
-        self.pools = {}
         for comp in cfg.components:
             finite = [
                 q.coordinate
@@ -162,9 +167,7 @@ class CartierUnitSampler:
             ]
             floor_coord = min([Fraction(0)] + finite)
             start = int(floor_coord) - 2
-            xs = [Fraction(start - i) for i in range(pool)]
-            self.pools[comp] = xs
-            self.columns.extend((comp, x) for x in xs)
+            self.columns.extend((comp, Fraction(start - i)) for i in range(pool))
 
     def _value_vector(self, q):
         """Per-column valuation data of f's value at branch q (None at infinity)."""

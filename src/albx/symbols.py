@@ -30,7 +30,6 @@ from .funcfield import (
     leading_term,
     rational_roots,
     split_divisor,
-    val_at,
 )
 
 
@@ -48,12 +47,15 @@ def tame_symbol(psi, f, p):
 
 
 def residue_symbol(psi, f, p):
-    """Additive local symbol Res_p(psi df/f)."""
+    """Additive local symbol Res_p(psi df/f).
+
+    df/f has at most a simple pole, so the residue reads psi through
+    exponent 0 and df/f through exponent -1 - v, v = min(ord_p psi, 0).
+    """
     if psi.is_zero():
         return Fraction(0)
-    v = val_at(psi, p)
-    k = max(0, -v)
-    return expand_at(psi, p, k + 1).product_coefficient(dlog(f, p, k + 1), -1)
+    s = expand_at(psi, p, 0)
+    return s.product_coefficient(dlog(f, p, -1 - min(s.lead_bound(), 0)), -1)
 
 
 def _pole_places(f):
@@ -128,7 +130,7 @@ def is_modulus(psi, modulus, tag):
     if tag == "gm":
         return True  # any multiplicity >= 1 suffices
     for s in bad:
-        pole = -val_at(psi, s)
+        pole = -leading_term(psi, s)[0]
         if multiplicity[s] < pole + 1:
             return False
     return True

@@ -6,9 +6,12 @@ dense pairing matrices for the Lie side).  No code is shared with the
 package's own elimination routines.  The dense Fraction kernels at the
 end are the reference the integer polynomial and series kernels of
 funcfield are tested against, repeated squaring is the reference for
-the power recurrence, the valuation and Laurent expansion of
-leading_term_reference are the reference for funcfield.leading_term,
-reduced_reference (Euclid on every quotient) is the reference for
+the power recurrence, expand_at_reference is the reference for
+funcfield.expand_at, leading_term and (through residue_symbol_reference)
+symbols.residue_symbol: the valuation by repeated division, each
+polynomial's shifted coefficients by repeated Horner division, the
+denominator inverted by its coefficient recurrence, and one full
+product.  reduced_reference (Euclid on every quotient) is the reference for
 RatFunc's shortcuts past Euclid, and DenseRowSpan is the reference for
 the sparse RowSpan of linalg.  random_congruent_function and
 symbol_sum_over_divisor make the randomized certificate that the local
@@ -23,7 +26,8 @@ from math import gcd
 
 import sympy
 
-from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor, val_at
+from albx.errors import UndefinedValuationError
+from albx.funcfield import LaurentSeries, Poly, RatFunc, split_divisor
 from albx.symbols import residue_symbol, tame_symbol
 
 
@@ -186,11 +190,85 @@ def shifted_coefficients_reference(poly, a, upto):
     return out
 
 
+def val_at_reference(f, p):
+    """Order of f at p: the degrees at infinity, repeated division elsewhere."""
+    if f.is_zero():
+        raise UndefinedValuationError("valuation of the zero function")
+    if p.is_infinite():
+        return f.den.degree - f.num.degree
+    a = p.coordinate
+    return multiplicity_reference(f.num, a) - multiplicity_reference(f.den, a)
+
+
+def series_inverse_recurrence(series):
+    """1/series through its coefficients' linear recurrence: with
+    u^(-m) series / c = 1 + w, b = 1/(1 + w) solves b_k = -sum_j w_j b_(k-j)."""
+    m = min(series.coeffs)
+    c = series.coeffs[m]
+    n = series.truncation - m
+    w = [(e - m, x / c) for e, x in series.coeffs.items() if e != m]
+    b = [F(1)]
+    for k in range(1, n + 1):
+        b.append(-sum((x * b[k - j] for j, x in w if j <= k), F(0)))
+    return LaurentSeries(series.place, n - m, {k - m: x / c for k, x in enumerate(b)})
+
+
+def _poly_series_reference(poly, p, n):
+    """poly at p as a series exact through n; at infinity p(1/s) is a
+    Laurent polynomial in s, exact at every order."""
+    if p.is_infinite():
+        return LaurentSeries(p, n, {-k: c for k, c in enumerate(poly.coeffs)})
+    if poly.is_zero() or n < 0:
+        return LaurentSeries(p, n)
+    cs = shifted_coefficients_reference(poly, p.coordinate, min(n, poly.degree))
+    return LaurentSeries(p, n, dict(enumerate(cs)))
+
+
+def expand_at_reference(f, p, n):
+    """Laurent expansion of f at p through n: numerator and denominator
+    expanded as far as the quotient needs, the denominator inverted by
+    series_inverse_recurrence, one full product."""
+    if f.is_zero():
+        raise UndefinedValuationError("cannot expand the zero function")
+    if p.is_infinite():
+        dn, dd = f.num.degree, f.den.degree
+        num = _poly_series_reference(f.num, p, n - dd)
+        den = _poly_series_reference(f.den, p, max(n - 2 * dd + dn, -dd))
+    else:
+        vn = multiplicity_reference(f.num, p.coordinate)
+        vd = multiplicity_reference(f.den, p.coordinate)
+        num = _poly_series_reference(f.num, p, n + vd)
+        den = _poly_series_reference(f.den, p, max(n + 2 * vd - vn, vd))
+    prod = num * series_inverse_recurrence(den)
+    assert prod.truncation >= n
+    return LaurentSeries(p, n, prod.coeffs)
+
+
+def dlog_reference(f, p, n):
+    """df/f in the local coordinate at p through n, by expand_at_reference."""
+    g = f.dlog_ratfunc()
+    if g.is_zero():
+        return LaurentSeries(p, n)
+    if p.is_infinite():
+        h = expand_at_reference(g, p, n + 2)
+        return LaurentSeries(p, n, {e - 2: -c for e, c in h.coeffs.items()})
+    return expand_at_reference(g, p, n)
+
+
 def leading_term_reference(f, p):
-    """(valuation, leading coefficient) of f at p: val_at, then a Laurent
-    expansion exact through the valuation."""
-    v = val_at(f, p)
-    return v, expand_at(f, p, v).coefficient(v)
+    """(valuation, leading coefficient) of f at p: val_at_reference, then a
+    Laurent expansion exact through the valuation."""
+    v = val_at_reference(f, p)
+    return v, expand_at_reference(f, p, v).coefficient(v)
+
+
+def residue_symbol_reference(psi, f, p):
+    """Res_p(psi df/f) from both expansions taken through k + 1, k the pole
+    order of psi."""
+    if psi.is_zero():
+        return F(0)
+    k = max(0, -val_at_reference(psi, p))
+    return expand_at_reference(psi, p, k + 1).product_coefficient(dlog_reference(f, p, k + 1), -1)
 
 
 def reduced_reference(num, den, component="C0"):
@@ -203,22 +281,25 @@ def reduced_reference(num, den, component="C0"):
 
 
 def series_inverse_reference(series):
-    """1/series as the Neumann series 1 - w + w^2 - ... of full products."""
+    """1/series as the Neumann series 1 - w + w^2 - ... of full products,
+    with u^(-m) series / c = 1 + w."""
     if not series.coeffs:
         raise ZeroDivisionError("cannot invert a series that is zero through truncation")
-    m = series.leading_exponent()
+    m = min(series.coeffs)
     c = series.coeffs[m]
-    unit = series.shift(-m).scale(1 / c)
-    w = unit - 1
-    n = unit.truncation
-    acc = LaurentSeries(series.place, n, {0: 1})
-    term = LaurentSeries(series.place, n, {0: 1})
-    while True:
-        term = term * (-w)
-        if term.lead_bound() > n or term.is_zero():
-            break
-        acc = acc + term
-    return acc.scale(1 / c).shift(-m)
+    n = series.truncation - m
+    w = {e - m: x / c for e, x in series.coeffs.items() if e != m}
+    acc, term = {0: F(1)}, {0: F(1)}
+    while term:
+        nxt = {}
+        for e1, x in term.items():
+            for e2, y in w.items():
+                if e1 + e2 <= n:
+                    nxt[e1 + e2] = nxt.get(e1 + e2, F(0)) - x * y
+        term = {e: x for e, x in nxt.items() if x}
+        for e, x in term.items():
+            acc[e] = acc.get(e, F(0)) + x
+    return LaurentSeries(series.place, n - m, {e - m: x / c for e, x in acc.items()})
 
 
 def product_coefficient_reference(x, y, e):

@@ -179,7 +179,9 @@ def test_analyze_cusp_and_tacnode(curve_files):
     assert "dual motive: [Z^0 (+) k^0 -> Gm x Ga]" in lines
 
 
-def test_analyze_computes_formal_group_once(curve_files, monkeypatch, capsys):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of infdiv.etale_kernel and infdiv.lie_kernel calls."""
     import albx.infdiv
 
     calls = {"etale_kernel": 0, "lie_kernel": 0}
@@ -195,9 +197,13 @@ def test_analyze_computes_formal_group_once(curve_files, monkeypatch, capsys):
 
     for name in calls:
         monkeypatch.setattr(albx.infdiv, name, counted(name))
+    return calls
+
+
+def test_analyze_computes_formal_group_once(curve_files, kernel_calls, capsys):
     assert main(["analyze", curve_files["tacnode"], "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["torus_rank"] == 1
-    assert calls == {"etale_kernel": 1, "lie_kernel": 1}
+    assert kernel_calls == {"etale_kernel": 1, "lie_kernel": 1}
 
 
 def test_analyze_rejects_invalid(curve_files):
@@ -282,6 +288,12 @@ def test_chow_zero_cycle(curve_files):
     )
     data = json.loads(out)
     assert data["equivalent"] is True
+
+
+def test_chow_nonzero_degree_builds_no_receptor(curve_files, kernel_calls, capsys):
+    assert main(["chow", curve_files["tacnode"], "--cycle", "C0:5=+1"]) == 0
+    assert capsys.readouterr().out == "cycle: C0:5=+1\nequivalent: false (nonzero degree)\n"
+    assert kernel_calls == {"etale_kernel": 0, "lie_kernel": 0}
 
 
 def test_chow_bad_support(curve_files):

@@ -11,30 +11,32 @@ import random
 import pytest
 import sympy
 
-from albx.errors import InsufficientTruncationError
+from albx.errors import InsufficientTruncationError, UndefinedValuationError
 from albx.funcfield import (
     INF,
     LaurentSeries,
     Place,
     Poly,
     RatFunc,
-    dlog,
     expand_at,
     leading_term,
     rational_roots,
     residue,
-    val_at,
 )
 from albx.symbols import residue_symbol
 from oracles import (
+    dlog_reference,
+    expand_at_reference,
     leading_term_reference,
     multiplicity_reference,
     poly_mul_reference,
     poly_pow_reference,
     product_coefficient_reference,
     reduced_reference,
+    residue_symbol_reference,
     series_inverse_reference,
     shifted_coefficients_reference,
+    val_at_reference,
 )
 
 CASES = 1000
@@ -144,32 +146,70 @@ def test_multiplicity_matches_reference():
             cofactor = Poly.const(_point(rng) or 1)
         p = Poly.linear(a) ** e * cofactor
         for x in (a, _point(rng)):
-            assert p.multiplicity_at(x) == multiplicity_reference(p, x)
+            assert leading_term(RatFunc(p), Place("C0", x))[0] == multiplicity_reference(p, x)
     assert high > 100
 
 
+def _local_case(rng):
+    """f = (t - a)^e g / h, |e| <= 30, at a (half the time), another point or infinity."""
+    a = _point(rng)
+    e = rng.choice([0, 1, -1, 2, -2, rng.randint(3, 30), -rng.randint(3, 30)])
+    g, h = _poly(rng, 4), _poly(rng, 3)
+    if g.is_zero():
+        g = Poly.const(_rational(rng) or 1)
+    if h.is_zero():
+        h = Poly.const(1)
+    power = Poly.linear(a) ** abs(e)
+    f = RatFunc(g * power, h) if e >= 0 else RatFunc(g, h * power)
+    return f, Place("C0", rng.choice([a, a, _point(rng), INF]))
+
+
+def _count_case(seen, f, p, v):
+    seen["zero" if v > 0 else "pole" if v < 0 else "unit"] += 1
+    seen["inf"] += p.is_infinite()
+    seen["|v|>=10"] += abs(v) >= 10
+    seen["64-bit"] += any(x.denominator > 2**32 for x in f.num.coeffs + f.den.coeffs)
+    seen["40-bit point"] += not p.is_infinite() and p.coordinate.denominator > 2**20
+
+
 def test_leading_term_matches_reference():
-    """f = (t - a)^e g / h at a, at another point or at infinity, |e| <= 30."""
     rng = random.Random(11)
     seen = {"zero": 0, "pole": 0, "unit": 0, "inf": 0, "|v|>=10": 0, "64-bit": 0, "40-bit point": 0}
     for _ in range(CASES):
-        a = _point(rng)
-        e = rng.choice([0, 1, -1, 2, -2, rng.randint(3, 30), -rng.randint(3, 30)])
-        g, h = _poly(rng, 4), _poly(rng, 3)
-        if g.is_zero():
-            g = Poly.const(_rational(rng) or 1)
-        if h.is_zero():
-            h = Poly.const(1)
-        power = Poly.linear(a) ** abs(e)
-        f = RatFunc(g * power, h) if e >= 0 else RatFunc(g, h * power)
-        p = Place("C0", rng.choice([a, a, _point(rng), INF]))
+        f, p = _local_case(rng)
         v, c = leading_term(f, p)
         assert (v, c) == leading_term_reference(f, p)
-        seen["zero" if v > 0 else "pole" if v < 0 else "unit"] += 1
-        seen["inf"] += p.is_infinite()
-        seen["|v|>=10"] += abs(v) >= 10
-        seen["64-bit"] += any(x.denominator > 2**32 for x in f.num.coeffs + f.den.coeffs)
-        seen["40-bit point"] += not p.is_infinite() and p.coordinate.denominator > 2**20
+        _count_case(seen, f, p, v)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_expand_at_matches_old_path():
+    """Expansions through n from v - 3 to v + 8, and the residue symbol of each
+    function against df/f for a simple f, compared with the old path."""
+    rng = random.Random(13)
+    seen = {"zero": 0, "pole": 0, "unit": 0, "inf": 0, "|v|>=10": 0, "64-bit": 0, "40-bit point": 0}
+    seen["empty"] = seen["residue raised"] = 0
+    for _ in range(CASES):
+        psi, p = _local_case(rng)
+        v = val_at_reference(psi, p)
+        n = v + rng.randint(-3, 8)
+        expected = expand_at_reference(psi, p, n)
+        # equality covers the truncation order as well as the coefficients
+        assert expand_at(psi, p, n) == expected
+        _count_case(seen, psi, p, v)
+        seen["empty"] += n < v
+        b = p.coordinate if not p.is_infinite() and rng.random() < 0.5 else _point(rng)
+        f = RatFunc(Poly.linear(b) ** rng.randint(1, 3) * rng.randint(1, 5), Poly.linear(b + 1))
+        try:
+            expected = residue_symbol_reference(psi, f, p)
+        except InsufficientTruncationError:
+            seen["residue raised"] += 1
+            with pytest.raises(InsufficientTruncationError):
+                residue_symbol(psi, f, p)
+        else:
+            assert residue_symbol(psi, f, p) == expected
+    # the old path never runs out of truncation, so neither may the new one
+    assert seen.pop("residue raised") == 0
     assert min(seen.values()) >= 50, seen
 
 
@@ -212,22 +252,25 @@ def test_shifted_coefficients_match_reference():
     for _ in range(CASES):
         p, a = _poly(rng, 12), _point(rng)
         upto = rng.randint(0, max(p.degree, 0) + 3)
-        assert p.shifted_coefficients(a, upto) == shifted_coefficients_reference(p, a, upto)
+        expected = shifted_coefficients_reference(p, a, upto)
+        if p.is_zero():
+            with pytest.raises(UndefinedValuationError):
+                expand_at(RatFunc(p), Place("C0", a), upto)
+            continue
+        series = expand_at(RatFunc(p), Place("C0", a), upto)
+        assert series.coeffs == {e: c for e, c in enumerate(expected) if c}
 
 
 def test_series_inverse_matches_reference():
+    """The unit-series division behind expand_at(1/f) against the Neumann
+    series of f's expansion."""
     rng = random.Random(4)
-    inverted = 0
     for _ in range(CASES):
-        s = _series(rng)
-        if s.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                s.inverse()
-            continue
-        inverted += 1
+        f, p = _local_case(rng)
+        s = expand_at_reference(f, p, val_at_reference(f, p) + rng.randint(0, 8))
+        inverse = series_inverse_reference(s)
         # equality covers the truncation order as well as the coefficients
-        assert s.inverse() == series_inverse_reference(s)
-    assert inverted > 800
+        assert expand_at(RatFunc.constant(1) / f, p, inverse.truncation) == inverse
 
 
 def test_product_coefficient_matches_reference():
@@ -256,8 +299,8 @@ def test_residue_symbol_matches_full_product():
         zero, pole = Poly.linear(_point(rng)), Poly.linear(_point(rng))
         f = RatFunc(zero ** rng.randint(1, 3) * rng.randint(1, 5), pole)
         p = Place("C0", rng.choice([INF, _point(rng), F(0)]))
-        k = max(0, -val_at(psi, p))
-        expected = residue(expand_at(psi, p, k + 1) * dlog(f, p, k + 1))
+        k = max(0, -val_at_reference(psi, p))
+        expected = residue(expand_at_reference(psi, p, k + 1) * dlog_reference(f, p, k + 1))
         assert residue_symbol(psi, f, p) == expected
 
 

@@ -1,17 +1,21 @@
 """Static checks on src/albx with the standard library's ast module.
 
 No linter ships with the project, so dead code that deletions leave
-behind is caught here: an import that its module never uses, and a
-private top-level function that nothing in the package refers to.
-__init__.py is exempt from the import check, since its imports are the
-package's public names.
+behind is caught here: an import that its module never uses, a private
+top-level function that nothing in the package refers to, a parameter
+that its function never reads, and an attribute that is set but that
+nothing in src/, tests/ or perfbench/ reads.  __init__.py is exempt
+from the import check, since its imports are the package's public
+names; dunder methods are exempt from the parameter check, since the
+protocol fixes their signatures.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "albx"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "albx"
 
 
 def parsed_modules():
@@ -63,3 +67,82 @@ def test_every_private_function_is_referenced():
         and total[node.name] == references(node)[node.name]
     ]
     assert not dead, dead
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {
+                n.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread.extend(
+                f"{name}:{node.lineno} {node.name}({p.arg})"
+                for p in params
+                if p is not None and p.arg not in read
+            )
+    assert not unread, unread
+
+
+def _stored_into(tree):
+    """The attribute nodes that a subscript assignment such as self.x[k] = v writes into."""
+    return {
+        id(n.value)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load)
+    }
+
+
+def _set_attributes(tree):
+    """(line, name) of each self.X assignment and object.__setattr__(obj, "X", ...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if (
+                        isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "self"
+                    ):
+                        yield node.lineno, n.attr
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.lineno, node.args[1].value
+
+
+def test_every_attribute_is_read():
+    # a read is an attribute load anywhere in src/, tests/ or perfbench/;
+    # self.x += 1 and self.x[k] = v do not count
+    read = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            stored = _stored_into(tree)
+            read.update(
+                n.attr
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Load)
+                and id(n) not in stored
+            )
+    unread = sorted(
+        f"{name}:{line} {attr}"
+        for name, tree in parsed_modules().items()
+        for line, attr in _set_attributes(tree)
+        if attr not in read
+    )
+    assert not unread, unread
