@@ -139,9 +139,7 @@ def div_C(funcs, config):
     for comp in config.components:
         for p, m in split_divisor(funcs[comp]).items():
             out[p] = m
-    cycle = ZeroCycle(out)
-    check_cycle_support(cycle, config)
-    return cycle
+    return ZeroCycle(out)
 
 
 def interpolate_divisor(cycle, component):
@@ -152,21 +150,15 @@ def interpolate_divisor(cycle, component):
     """
     factors = []
     degree = 0
-    inf_coeff = 0
     for p, m in cycle.items():
         if p.component != component:
             continue
         degree += m
-        if p.is_infinite():
-            inf_coeff = m
-        else:
+        if not p.is_infinite():
             factors.append((p.coordinate, m))
     if degree != 0:
         raise DegreeError(f"cycle has degree {degree} on {component}")
-    f = RatFunc.from_factors(factors, component=component)
-    # the infinity coefficient is forced: deg den - deg num
-    assert f.den.degree - f.num.degree == inf_coeff
-    return f
+    return RatFunc.from_factors(factors, component=component)
 
 
 class AJPoint:

@@ -11,8 +11,8 @@ verify suite could not test (INCONCLUSIVE) and none failed.
 Expressions nest at most MAX_DEPTH deep, hold no integer literal past
 MAX_HEIGHT bits and raise no power past MAX_DEGREE or MAX_HEIGHT (the
 coefficient bits of the result, bounded before it is formed);
-curve.validate bounds the truncation order, and arith.format_rat prints
-no rational past MAX_HEIGHT bits.
+curve.validate bounds the truncation order, chow the size of a cycle's
+coordinates, and arith.format_rat prints no rational past MAX_HEIGHT bits.
 """
 
 import argparse
@@ -223,6 +223,34 @@ def cmd_analyze(args):
     return 0
 
 
+def _check_cycle_size(cycle, alb):
+    """Refuse a degree-0 cycle before abel_jacobi forms a torus coordinate
+    past MAX_HEIGHT bits or an interpolant past MAX_DEGREE.  Write q - p as
+    a / b, a = qn pd - pn qd and b = qd pd; the numerator of prod (q - p)^e
+    has at most 1 + sum |e| ceil(log2 x) bits, x = |a| where e > 0 and b
+    where e < 0, and likewise the denominator."""
+    finite = [(p.component, p.coordinate, m) for p, m in cycle.items() if not p.is_infinite()]
+    for i, omega in enumerate(alb.etale_basis):
+        bits = [1, 1]  # bounds on the numerator's and denominator's bits
+        for q, w in omega.items():
+            if q.is_infinite():
+                continue
+            qn, qd = q.coordinate.numerator, q.coordinate.denominator
+            for comp, x, m in finite:
+                if comp == q.component:
+                    a, b, e = abs(qn * x.denominator - x.numerator * qd), qd * x.denominator, m * w
+                    bits[e < 0] += abs(e) * (a - 1).bit_length()
+                    bits[e > 0] += abs(e) * (b - 1).bit_length()
+        if max(bits) > MAX_HEIGHT:
+            raise InputError(f"torus coordinate {i} would pass {MAX_HEIGHT} bits")
+    # each component carrying a Lie element gets an interpolant, whose
+    # degree is that of the cycle's positive, or negative, finite part there
+    for comp in sorted({q.component for delta in alb.lie_basis for q in delta.places()}):
+        mults = [m for c, _, m in finite if c == comp]
+        if max(sum(m for m in mults if m > 0), -sum(m for m in mults if m < 0)) > MAX_DEGREE:
+            raise InputError(f"interpolant on {comp} would pass degree {MAX_DEGREE}")
+
+
 def cmd_chow(args):
     config = validate(load_config(args.curve))
     cycle = ZeroCycle.from_string(args.cycle)
@@ -237,7 +265,9 @@ def cmd_chow(args):
         lines = [f"cycle: {cycle.to_string()}", "equivalent: false (nonzero degree)"]
         sys.stdout.write(_emit(payload, args.format, lines))
         return 0
-    point = abel_jacobi(cycle, config, albanese(config))
+    alb = albanese(config)
+    _check_cycle_size(cycle, alb)
+    point = abel_jacobi(cycle, config, alb)
     verdict = point.is_identity()
     payload = {
         "cycle": cycle.to_string(),

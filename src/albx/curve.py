@@ -403,7 +403,7 @@ def config_from_json(data):
         return CurveConfig(components, points, truncation)
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad curve description: {exc}") from None
 
 

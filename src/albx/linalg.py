@@ -124,8 +124,6 @@ def integer_kernel_basis(rows, ncols):
     """
     rows = [list(r) for r in rows]
     m = len(rows)
-    if m == 0:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     aug = []
     for i in range(ncols):
         aug.append([rows[k][i] for k in range(m)] + [int(i == j) for j in range(ncols)])

@@ -8,10 +8,14 @@ branch, and matching values across the branches of each singular point.
 Jet constraints are rational-linear in the exponents; value matching
 becomes integer-linear after passing to prime valuations (every factor
 is chosen below the branch coordinates, so all the evaluated
-differences are positive and no sign condition is left).  The sampler
-therefore computes the integer kernel of one constraint matrix, size
-reduces it, and draws random small combinations; every draw is
-double checked against the real unit certificate.
+differences are positive and no sign condition is left).  Each branch q
+of a point with two or more branches factors q - x once per pool factor
+t - x; a value row is the difference of two branches' exponents of one
+prime.  The sampler computes the integer kernel of one constraint
+matrix, size reduces it, and draws random small combinations; every
+draw is double checked against the real unit certificate.  A build
+tries up to three pool sizes and keeps the first with MIN_KERNEL
+vectors within LENGTH_BUDGET or twice that, else the best-scored one.
 """
 
 from fractions import Fraction
@@ -31,7 +35,7 @@ def random_rational(rng, height=10, nonzero=False):
             return x
 
 
-def random_split_ratfunc(rng, component="C0", max_factors=5, height=10):
+def random_split_ratfunc(rng, max_factors=5, height=10):
     """Nonzero scalar times a product of distinct linear factors, exponents +-1."""
     k = rng.randint(1, max_factors)
     roots = set()
@@ -39,14 +43,7 @@ def random_split_ratfunc(rng, component="C0", max_factors=5, height=10):
         roots.add(random_rational(rng, height))
     factors = [(a, rng.choice((1, -1))) for a in sorted(roots)]
     scale = random_rational(rng, height, nonzero=True)
-    return RatFunc.from_factors(factors, scale=scale, component=component)
-
-
-def random_split_pair(rng, component="C0", max_factors=5, height=10):
-    return (
-        random_split_ratfunc(rng, component, max_factors, height),
-        random_split_ratfunc(rng, component, max_factors, height),
-    )
+    return RatFunc.from_factors(factors, scale=scale)
 
 
 # random_zero_cycle puts 2 to CYCLE_POINTS points of height at most
@@ -70,8 +67,7 @@ def random_zero_cycle(config, rng):
         coeffs = [rng.randint(-3, 3) for _ in coords]
         coeffs[-1] -= sum(coeffs)
         for a, m in zip(coords, coeffs):
-            if m:
-                out[Place(comp, a)] = m
+            out[Place(comp, a)] = m  # ZeroCycle drops the zeros
     return ZeroCycle(out)
 
 
@@ -113,119 +109,87 @@ def _l1_sweep(basis):
     return basis
 
 
+def _exponents(q, columns):
+    """{prime: exponent} of q - x for each column (component, x); empty off
+    q's component, and at infinity, where f is exactly 1 by degree zero."""
+    out = []
+    for comp, x in columns:
+        e = {}
+        if comp == q.component and not q.is_infinite():
+            d = q.coordinate - x
+            e = factorint(d.numerator)
+            e.update((p, -k) for p, k in factorint(d.denominator).items())
+        out.append(e)
+    return out
+
+
 class CartierUnitSampler:
     """Draws random Cartier units with split divisors on a fixed configuration."""
 
     def __init__(self, config):
-        self.config = validate(config)
-        cfg = self.config
+        self.config = cfg = validate(config)
         jet_rows = sum(sum(sp.conductors) for sp in cfg.singular_points)
         pair_count = sum(len(sp.branches) - 1 for sp in cfg.singular_points)
         pool = max(12, jet_rows + 4 * pair_count + 8)
-        # the constraint count depends on which primes show up, so grow
-        # the factor pool until enough reasonably short exponent vectors
-        # exist; some configurations simply have no very short units, in
-        # which case the best basis found wins and the degree cap adapts
-        best, best_cols, best_score = [], None, None
-        done = False
+        # the constraint count depends on which primes show up, so the pool
+        # grows until enough short vectors exist; else the degree cap adapts
+        scored = []  # (score, columns, basis) of rounds without enough
         for _ in range(3):
-            self._build_pool(pool)
-            try:
-                basis = self._kernel_basis()
-            except InputError:
-                basis = []
-            if basis:
-                short = [b for b in basis if _l1(b) <= LENGTH_BUDGET]
-                loose = [b for b in basis if _l1(b) <= 2 * LENGTH_BUDGET]
-                if len(short) >= MIN_KERNEL:
-                    best, best_cols, done = short, self.columns, True
-                elif len(loose) >= MIN_KERNEL:
-                    best, best_cols, done = loose, self.columns, True
-                else:
-                    score = (-len(short), sum(_l1(b) for b in basis[:MIN_KERNEL]))
-                    if best_score is None or score < best_score:
-                        best, best_cols, best_score = basis, self.columns, score
-            if done:
+            columns = self._pool(pool)
+            basis = self._kernel_basis(columns)
+            short = [b for b in basis if _l1(b) <= LENGTH_BUDGET]
+            loose = [b for b in basis if _l1(b) <= 2 * LENGTH_BUDGET]
+            enough = next((vs for vs in (short, loose) if len(vs) >= MIN_KERNEL), None)
+            if enough:
+                self.columns, self.basis = columns, enough
                 break
+            if basis:
+                score = (-len(short), sum(_l1(b) for b in basis[:MIN_KERNEL]))
+                scored.append((score, columns, basis))
             pool *= 2
-        if not best:
-            raise InputError("no Cartier units available from the factor pool")
-        self.columns = best_cols
-        self.basis = best
+        else:
+            if not scored:
+                raise InputError("no Cartier units available from the factor pool")
+            _, self.columns, self.basis = min(scored, key=lambda r: r[0])
         self.max_unit_degree = max(80, 2 * max(_l1(b) for b in self.basis) + 8)
 
-    def _build_pool(self, pool):
-        """One pool of negative integer coordinates per component, strictly
-        below every finite branch coordinate."""
-        cfg = self.config
-        self.columns = []  # (component, coordinate)
-        for comp in cfg.components:
-            finite = [
-                q.coordinate
-                for q in cfg.branch_places()
-                if q.component == comp and not q.is_infinite()
-            ]
-            floor_coord = min([Fraction(0)] + finite)
-            start = int(floor_coord) - 2
-            self.columns.extend((comp, Fraction(start - i)) for i in range(pool))
+    def _pool(self, size):
+        """Columns (component, x): size negative integers x per component,
+        strictly below every finite branch coordinate there."""
+        branches = self.config.branch_places()
+        columns = []
+        for comp in self.config.components:
+            finite = [q.coordinate for q in branches if q.component == comp and not q.is_infinite()]
+            start = int(min([Fraction(0)] + finite)) - 2
+            columns.extend((comp, Fraction(start - i)) for i in range(size))
+        return columns
 
-    def _value_vector(self, q):
-        """Per-column valuation data of f's value at branch q (None at infinity)."""
-        if q.is_infinite():
-            return None  # value is exactly 1 under the degree-0 rows
-        return [
-            (q.coordinate - x) if comp == q.component else None
-            for comp, x in self.columns
-        ]
-
-    def _kernel_basis(self):
+    def _kernel_basis(self, columns):
+        """At most 8 short exponent vectors over columns, sorted by L1 norm,
+        spanning the ones that meet every constraint; [] if none do."""
         cfg = self.config
-        ncols = len(self.columns)
-        rows = []
-        for comp in cfg.components:
-            rows.append([1 if c == comp else 0 for c, _ in self.columns])
+        rows = [[1 if c == comp else 0 for c, _ in columns] for comp in cfg.components]
         for sp in cfg.singular_points:
-            # jets: derivatives of log f vanish up to the conductor
+            # jets: derivatives of log f vanish up to the conductor; at
+            # infinity log(1 - x s) contributes -(j-1)! x^j at s = 0
             for q, n_q in zip(sp.branches, sp.conductors):
                 for j in range(1, n_q + 1):
-                    row = []
-                    for comp, x in self.columns:
-                        if comp != q.component:
-                            row.append(Fraction(0))
-                        elif q.is_infinite():
-                            # log(1 - x s) contributes -(j-1)! x^j at s = 0
-                            row.append(Fraction(x**j))
-                        else:
-                            row.append(1 / (q.coordinate - x) ** j)
+                    row = [
+                        0 if c != q.component
+                        else x**j if q.is_infinite()
+                        else 1 / (q.coordinate - x) ** j
+                        for c, x in columns
+                    ]
                     rows.append(clear_denominators(row))
-            # value matching across the fiber, one prime-valuation block per pair
-            vectors = [self._value_vector(q) for q in sp.branches]
-            for other in vectors[1:]:
-                base = vectors[0]
-                primes = set()
-                for vec in (base, other):
-                    if vec is None:
-                        continue
-                    for d in vec:
-                        if d is not None:
-                            primes |= set(factorint(d.numerator).keys())
-                            primes |= set(factorint(d.denominator).keys())
-                for prime in sorted(primes):
-                    row = []
-                    for idx in range(ncols):
-                        v = 0
-                        for vec, sign in ((other, 1), (base, -1)):
-                            if vec is not None and vec[idx] is not None:
-                                d = vec[idx]
-                                v += sign * (
-                                    _padic(d.numerator, prime) - _padic(d.denominator, prime)
-                                )
-                        row.append(v)
-                    rows.append(row)
-        basis = integer_kernel_basis(rows, ncols)
-        if not basis:
-            raise InputError("empty exponent kernel")
-
+            if len(sp.branches) < 2:
+                continue
+            # values match across the fiber: for each pair (first branch,
+            # other branch) and prime, f's exponents there are equal
+            base, *others = [_exponents(q, columns) for q in sp.branches]
+            for other in others:
+                for prime in sorted(set().union(*base, *other)):
+                    rows.append([o.get(prime, 0) - b.get(prime, 0) for o, b in zip(other, base)])
+        basis = integer_kernel_basis(rows, len(columns))
         basis.sort(key=_l1)
         basis = basis[:16]
         if any(_l1(b) > LENGTH_BUDGET for b in basis):
@@ -244,29 +208,16 @@ class CartierUnitSampler:
             for w, b in zip(weights, self.basis):
                 if w:
                     expo = [e + w * x for e, x in zip(expo, b)]
-            if not any(expo):
+            if not any(expo) or _l1(expo) > self.max_unit_degree:
                 continue
-            if _l1(expo) > self.max_unit_degree:
-                continue
-            funcs = {}
-            for comp in cfg.components:
-                factors = [
-                    (x, e)
-                    for (c, x), e in zip(self.columns, expo)
-                    if c == comp and e
-                ]
-                funcs[comp] = RatFunc.from_factors(factors, component=comp)
+            funcs = {
+                comp: RatFunc.from_factors(
+                    [(x, e) for (c, x), e in zip(self.columns, expo) if c == comp and e],
+                    component=comp,
+                )
+                for comp in cfg.components
+            }
             if is_cartier_unit(funcs, cfg):
                 return funcs
         raise InputError("could not sample a Cartier unit; pool too small")
 
-
-def _padic(n, p):
-    n = abs(int(n))
-    if n == 0:
-        raise ValueError("p-adic valuation of zero")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v

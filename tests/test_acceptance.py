@@ -26,7 +26,7 @@ from albx.curve import Divisor
 from albx.sampling import (
     CartierUnitSampler,
     random_rational,
-    random_split_pair,
+    random_split_ratfunc,
     random_zero_cycle,
 )
 from albx.symbols import reciprocity_check
@@ -47,7 +47,7 @@ def test_criterion_1_reciprocity_suite():
     rng = random.Random(0)
     start = time.time()
     for _ in range(200):
-        psi, f = random_split_pair(rng, max_factors=5, height=10)
+        psi, f = random_split_ratfunc(rng), random_split_ratfunc(rng)
         _, gm = reciprocity_check(psi, f, "gm")
         assert gm == 1
         _, ga = reciprocity_check(psi, f, "ga")

@@ -1,4 +1,5 @@
 import contextlib
+from fractions import Fraction as F
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import albx
+from albx.arith import format_rat
 from albx.cli import main, parse_expression
 from albx.curve import CurveConfig, SingularPoint, config_to_json
 from albx.errors import InputError
@@ -253,6 +255,21 @@ def test_analyze_rejects_truncation_out_of_range(tmp_path, n):
     assert f"truncation {n} outside 0..1024" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [('"truncation": 3', '"truncation": 1e400'), ('"conductors": [1]', '"conductors": [1e400]')],
+)
+def test_analyze_json_number_past_float_range_exits_2(curve_files, tmp_path, field, value):
+    # json reads 1e400 as float infinity, whose int() raised OverflowError
+    with open(curve_files["cusp"], encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "curve.json"
+    path.write_text(text.replace(field, value))
+    code, out, err = run_cli(["analyze", str(path)], timeout=30)
+    assert code == 2 and out == ""
+    assert err == "error: bad curve description: cannot convert float infinity to integer\n"
+
+
 # --- chow ------------------------------------------------------------------------
 
 
@@ -301,6 +318,37 @@ def test_chow_bad_support(curve_files):
         ["chow", curve_files["node"], "--cycle", "C0:0=+1,C0:5=-1"]
     )
     assert code == 2 and "singular" in err
+
+
+@pytest.mark.parametrize("n", [32768, 1_000_000, 5_000_000, 30_000_000])
+def test_chow_torus_coordinate_past_height_limit_exits_2(curve_files, n):
+    # (2/3)^n: forming it took 3.8 s at n = 10^6 before the printer refused
+    # it, 78.8 s at 5 * 10^6, and 3 * 10^7 ran past 100 s
+    args = ["chow", curve_files["node"], "--cycle", f"C0:2=+{n},C0:3=-{n}"]
+    code, out, err = run_cli(args, timeout=5)
+    assert code == 2 and out == ""
+    assert err == "error: torus coordinate 0 would pass 65536 bits\n"
+
+
+def test_chow_torus_coordinate_at_height_limit(curve_files):
+    # the bound is 1 + n bits for 2^n, which is exact, and 1 + 2 n for 3^n:
+    # (2/3)^32767, of 51,935 bits, passes; 4^32768 = 2^65536 does not
+    args = ["chow", curve_files["node"], "--cycle", "C0:2=+32767,C0:3=-32767"]
+    code, out, err = run_cli(args, timeout=5)
+    assert code == 0 and err == ""
+    assert f"torus coordinates: [{format_rat(F(2, 3) ** 32767)}]\n" in out
+    args = ["chow", curve_files["node"], "--cycle", "C0:4=+32768,C0:3=-32767,C0:5=-1"]
+    code, out, err = run_cli(args, timeout=5)
+    assert code == 2 and err == "error: torus coordinate 0 would pass 65536 bits\n"
+
+
+@pytest.mark.parametrize("curve, n", [("cusp", 2049), ("cusp", 1_000_000), ("tacnode", 2049)])
+def test_chow_interpolant_past_degree_limit_exits_2(curve_files, curve, n):
+    # the tacnode's torus coordinate, (15/14)^2049 or its inverse, is in bounds
+    args = ["chow", curve_files[curve], "--cycle", f"C0:5=+{n},C0:7=-{n}"]
+    code, out, err = run_cli(args, timeout=5)
+    assert code == 2 and out == ""
+    assert err == "error: interpolant on C0 would pass degree 2048\n"
 
 
 # --- symbol -------------------------------------------------------------------------

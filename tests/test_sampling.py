@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from oracles import l1_sweep_reference, lll_reduce_reference
 
-from albx import sampling
+from albx import fixtures, sampling
 from albx.chow import abel_jacobi, certify_cartier, div_C, is_cartier_unit
 from albx.curve import degree_per_component
-from albx.fixtures import modulus_curve
+from albx.errors import InputError
+from albx.fixtures import modulus_curve, rfold
 from albx.funcfield import INF, Place, RatFunc, leading_term, split_divisor
 from albx.motive import albanese
 from albx.sampling import (
     CartierUnitSampler,
     random_rational,
-    random_split_pair,
     random_split_ratfunc,
     random_zero_cycle,
 )
@@ -34,12 +36,6 @@ def test_random_split_ratfunc_splits():
         assert max(f.num.degree, f.den.degree) <= 5
         if d:
             assert sum(d.values()) == 0
-
-
-def test_random_split_pair_heights():
-    rng = random.Random(2)
-    psi, f = random_split_pair(rng, max_factors=5, height=10)
-    assert not psi.is_zero() and not f.is_zero()
 
 
 def test_random_zero_cycle(node):
@@ -89,6 +85,34 @@ def test_sampler_jet_row_at_an_infinite_branch():
         h = sampler.draw(rng)
         assert certify_cartier(h, cfg) is None
         assert abel_jacobi(div_C(h, cfg), cfg, alb).is_identity()
+
+
+def _modulus(*points):
+    return modulus_curve([(Place("C0", c), n) for c, n in points])
+
+
+def test_sampler_build_loop_decisions():
+    """Pool columns, basis L1 norms and degree cap where each rule of the
+    three-round build loop decides; each line was measured on the loop
+    that kept its rounds through self.columns."""
+    cases = [
+        # MIN_KERNEL vectors within LENGTH_BUDGET at round 1, 2 and 3
+        (fixtures.node(), 12, [4, 4, 4, 4, 4], 80),
+        (fixtures.tacnode(), 28, [14, 16, 22, 24], 80),
+        (rfold(4), 80, [8, 8, 8, 8, 8, 10, 10, 10], 80),
+        # within 2 LENGTH_BUDGET only: four of eight at round 2, all at round 3
+        (_modulus((0, 2), (F(1, 2), 1)), 26, [24, 34, 38, 44], 96),
+        (_modulus((F(1, 2), 2), (3, 1), (INF, 1)), 68, [28, 32, 34, 42, 44, 44, 46, 48], 104),
+        # no round has enough: round 2 has the best score, ahead of round 3
+        (_modulus((0, 3), (1, 2)), 30, [118, 124, 130, 148, 158, 180, 294, 510], 1028),
+    ]
+    for cfg, ncols, norms, cap in cases:
+        sampler = CartierUnitSampler(cfg)
+        got = len(sampler.columns), [sampling._l1(b) for b in sampler.basis]
+        assert (*got, sampler.max_unit_degree) == (ncols, norms, cap)
+    # every round's kernel is empty on the ordinary 5-fold point
+    with pytest.raises(InputError, match="no Cartier units available"):
+        CartierUnitSampler(rfold(5))
 
 
 def test_sampler_draws_vary(node):

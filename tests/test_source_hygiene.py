@@ -3,11 +3,13 @@
 No linter ships with the project, so dead code that deletions leave
 behind is caught here: an import that its module never uses, a private
 top-level function that nothing in the package refers to, a parameter
-that its function never reads, and an attribute that is set but that
-nothing in src/, tests/ or perfbench/ reads.  __init__.py is exempt
-from the import check, since its imports are the package's public
-names; dunder methods are exempt from the parameter check, since the
-protocol fixes their signatures.
+that its function never reads, an attribute that is set but that
+nothing in src/, tests/ or perfbench/ reads, and an assert statement,
+which python -O drops: a check that can fail raises an error, and one
+that cannot is not written.  __init__.py is exempt from the import
+check, since its imports are the package's public names; dunder methods
+are exempt from the parameter check, since the protocol fixes their
+signatures.
 """
 
 import ast
@@ -146,3 +148,13 @@ def test_every_attribute_is_read():
         if attr not in read
     )
     assert not unread, unread
+
+
+def test_no_assert_in_src():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

@@ -5,7 +5,7 @@ import pytest
 
 from albx.errors import InputError, NonSplitError
 from albx.funcfield import INF, Place, Poly, RatFunc, leading_term
-from albx.sampling import random_split_pair, random_split_ratfunc
+from albx.sampling import random_split_ratfunc
 from albx.symbols import is_modulus, reciprocity_check, residue_symbol, tame_symbol
 from oracles import random_congruent_function, symbol_sum_over_divisor
 
@@ -36,7 +36,8 @@ def test_tame_symbol_value_property():
 def test_tame_symbol_bilinear():
     rng = random.Random(1)
     for _ in range(15):
-        psi, f = random_split_pair(rng, max_factors=3, height=6)
+        psi = random_split_ratfunc(rng, max_factors=3, height=6)
+        f = random_split_ratfunc(rng, max_factors=3, height=6)
         g = random_split_ratfunc(rng, max_factors=3, height=6)
         p = Place("C0", F(rng.randint(-4, 4)))
         lhs = tame_symbol(psi, f * g, p)
@@ -65,7 +66,8 @@ def test_residue_symbol_value_property():
 def test_residue_symbol_additive():
     rng = random.Random(2)
     for _ in range(15):
-        phi, f = random_split_pair(rng, max_factors=3, height=6)
+        phi = random_split_ratfunc(rng, max_factors=3, height=6)
+        f = random_split_ratfunc(rng, max_factors=3, height=6)
         psi = random_split_ratfunc(rng, max_factors=3, height=6)
         p = Place("C0", F(rng.randint(-4, 4)))
         lhs = residue_symbol(phi + psi, f, p) if not (phi + psi).is_zero() else None
@@ -102,7 +104,7 @@ def test_reciprocity_constant_f():
 def test_reciprocity_random_pairs():
     rng = random.Random(3)
     for _ in range(25):
-        psi, f = random_split_pair(rng)
+        psi, f = random_split_ratfunc(rng), random_split_ratfunc(rng)
         _, agg = reciprocity_check(psi, f, "gm")
         assert agg == 1
         _, agg = reciprocity_check(psi, f, "ga")
