@@ -22,9 +22,7 @@ def parse_rat(text):
     2 MAX_HEIGHT, as 10^|k| > 2^(3|k|) and n cancels at most MAX_HEIGHT bits.
     """
     text = str(text).strip()
-    shown = text
-    if len(text) > 40:
-        shown = f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
+    shown = abbreviate(text)
     match = _RATIONAL.fullmatch(re.sub(r"(?<=\d)_(?=\d)", "", text))
     if match is None:
         raise InputError(f"bad rational literal {shown!r}")
@@ -39,6 +37,11 @@ def parse_rat(text):
     if n and (not in_range or bits > MAX_HEIGHT):
         raise InputError(f"rational literal {shown!r} of more than {MAX_HEIGHT} bits")
     return -value if sign == "-" else value
+
+
+def abbreviate(text):
+    """text, or its ends and its length when it is longer than 40 characters."""
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-10:]} ({len(text)} characters)"
 
 
 def parse_int(digits):

@@ -19,7 +19,7 @@ branch, so its span is written down, and its conductor is 0.
 from fractions import Fraction
 import json
 
-from .arith import parse_rat
+from .arith import abbreviate, format_rat, parse_rat
 from .errors import InputError, ValidationError
 from .funcfield import LaurentSeries, Place, format_coordinate
 from .linalg import RowSpan
@@ -239,7 +239,8 @@ def validate(config):
 
     n = config.truncation
     if not 0 <= n <= MAX_TRUNCATION:
-        raise ValidationError(f"truncation {n} outside 0..{MAX_TRUNCATION}")
+        shown = abbreviate(format_rat(n))
+        raise ValidationError(f"truncation {shown} outside 0..{MAX_TRUNCATION}")
     seen_branches = set()
     new_points = []
     max_conductor = 0
@@ -296,9 +297,8 @@ def validate(config):
         )
 
     if config.singular_points and n < max_conductor + 2:
-        raise ValidationError(
-            f"truncation {n} too small; need at least {max_conductor + 2}"
-        )
+        shown = abbreviate(format_rat(max_conductor + 2))
+        raise ValidationError(f"truncation {n} too small; need at least {shown}")
 
     spans = {}
     for sp in new_points:
@@ -430,9 +430,13 @@ def config_to_json(config):
 
 
 def load_config(path):
+    """Read a curve file; parse_rat reads every JSON number exactly from its
+    text, and refuses NaN and Infinity."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(
+                fh, parse_float=parse_rat, parse_int=parse_rat, parse_constant=parse_rat
+            )
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -31,7 +31,8 @@ Design choices worth knowing:
     positive degree; constants, scalar multiples and integer powers of
     a reduced ratio are reduced already,
   * rational roots are found p-adically (Hensel lifting and rational
-    reconstruction), so no integer is ever factored.
+    reconstruction), so no integer is ever factored; the squarefree
+    part they start from and from_factors' products run in integers.
 """
 
 from fractions import Fraction
@@ -242,11 +243,7 @@ class Poly:
 
     def primitive_int(self):
         """Integer coefficient list with content 1 (positive leading)."""
-        if self.is_zero():
-            return []
-        ints = common_denominator(self.coeffs)[0]
-        g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
-        return [x // g for x in ints]
+        return _primitive(common_denominator(self.coeffs)[0])
 
     def gcd(self, other):
         """Monic gcd by Euclid; remainders kept primitive to tame growth."""
@@ -349,19 +346,32 @@ class RatFunc:
 
     @classmethod
     def from_factors(cls, factors, scale=1, component="C0"):
-        """Build scale * prod (t - a)^e from (a, e) pairs with distinct a."""
-        num, den = Poly.const(1), Poly.const(1)
+        """Build scale * prod (t - a)^e from (a, e) pairs with distinct a.
+
+        With a = r/q the numerator and the denominator are integer products
+        of (q t - r)^|e|, one linear pass per unit of |e|; each is made
+        monic, by its leading coefficient prod q^|e|, in one Fraction per
+        coefficient at the end.
+        """
+        num, den = [1], [1]
         seen = set()
         for a, e in factors:
             a = Fraction(a)
             if a in seen:
                 raise ValueError("repeated root in from_factors")
             seen.add(a)
-            if e > 0:
-                num = num * Poly.linear(a) ** e
-            elif e < 0:
-                den = den * Poly.linear(a) ** (-e)
-        return cls._raw(num * Fraction(scale), den, component)
+            r, q = a.numerator, a.denominator
+            for _ in range(e):
+                num = [q * x - r * y for x, y in zip([0, *num], [*num, 0])]
+            for _ in range(-e):
+                den = [q * x - r * y for x, y in zip([0, *den], [*den, 0])]
+        scale = Fraction(scale)
+        n, d = scale.numerator, scale.denominator * num[-1]
+        return cls._raw(
+            Poly([Fraction(c * n, d) for c in num]),
+            Poly([Fraction(c, den[-1]) for c in den]),
+            component,
+        )
 
     def is_zero(self):
         return self.num.is_zero()
@@ -703,6 +713,46 @@ def _squarefree_mod(ints, p):
         a, b = b, a
 
 
+def _pseudo_divide(a, b):
+    """(q, r) with s a = q b + r in Z[t], deg r < deg b, for an integer s > 0; lc(b) > 0.
+
+    Each step scales by lc(b) / gcd(lc(b), top) only, so s = 1, and q is
+    a / b, when b is primitive and divides a (q is integral by Gauss's lemma).
+    """
+    a, lb, n, q = list(a), b[-1], len(b) - 1, []
+    while len(a) > n:
+        c = a.pop()
+        g = math.gcd(c, lb)
+        if g != lb:
+            a, q = [lb // g * x for x in a], [lb // g * x for x in q]
+        c //= g
+        for i, y in enumerate(b[:-1], len(a) - n):
+            a[i] -= c * y
+        q.append(c)
+    while a and not a[-1]:
+        a.pop()
+    return q[::-1], a
+
+
+def _primitive(ints):
+    """ints over its content, top entry positive."""
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if ints and ints[-1] > 0 else [-x // g for x in ints]
+
+
+def _squarefree_part(ints):
+    """Primitive squarefree part of a primitive integer polynomial, lc > 0.
+
+    gcd(f, f') comes from the primitive polynomial remainder sequence
+    (Knuth, TAOCP 2, 4.6.1, Algorithm E), all in integers; f is then
+    divided by it exactly.
+    """
+    a, b = ints, _primitive([i * c for i, c in enumerate(ints)][1:])
+    while len(b) > 1:
+        a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    return ints if b else _pseudo_divide(ints, a)[0]
+
+
 def _reconstruct(x, m, bound):
     """The r/q == x mod m with |r| <= bound, from the first Euclidean remainder <= bound."""
     r0, r1, t0, t1 = m, x, 0, 1
@@ -717,9 +767,11 @@ def rational_roots(poly):
 
     Returns (roots, cofactor) where roots is a list of (Fraction, mult)
     sorted by root and cofactor has no rational root.  The roots are
-    found p-adically, without factoring any integer: the primitive
-    squarefree part s stays squarefree modulo the smallest prime p that
-    divides neither its leading coefficient nor its discriminant.  Every
+    found p-adically, without factoring any integer.  The primitive
+    squarefree part s, f over gcd(f, f') from an integer remainder
+    sequence (_squarefree_part, no Fraction arithmetic), stays
+    squarefree modulo the smallest prime p that divides neither its
+    leading coefficient nor its discriminant.  Every
     root r/q of s has |r| <= |s(0)| and 0 < q <= |lc(s)|, so its
     reduction mod p, Hensel-lifted until p^K > 2 |s(0)| |lc(s)|, gives
     it back by rational reconstruction.  Each candidate is confirmed,
@@ -735,8 +787,7 @@ def rational_roots(poly):
         cur = cur[k:]
     if len(cur) == 1:
         return roots, Poly.const(1)
-    full = Poly(cur)
-    sf = full.divmod(full.gcd(full.derivative()))[0].primitive_int()
+    sf = _squarefree_part(cur)
     p = next(q for q in itertools.count(2) if is_probable_prime(q) and _squarefree_mod(sf, q))
     xs = [x for x in range(p) if _horner(sf, x, p) == 0]
     dsf = [i * c for i, c in enumerate(sf)][1:]

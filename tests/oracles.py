@@ -161,6 +161,12 @@ def poly_pow_reference(p, n):
     return out
 
 
+def squarefree_part_reference(ints):
+    """Primitive squarefree part f / gcd(f, f') by Euclid over Fractions."""
+    full = Poly(ints)
+    return full.divmod(full.gcd(full.derivative()))[0].primitive_int()
+
+
 def multiplicity_reference(poly, a):
     """Order of vanishing at a by repeated Fraction division by t - a."""
     m, cur = 0, poly

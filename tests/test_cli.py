@@ -260,14 +260,54 @@ def test_analyze_rejects_truncation_out_of_range(tmp_path, n):
     [('"truncation": 3', '"truncation": 1e400'), ('"conductors": [1]', '"conductors": [1e400]')],
 )
 def test_analyze_json_number_past_float_range_exits_2(curve_files, tmp_path, field, value):
-    # json reads 1e400 as float infinity, whose int() raised OverflowError
+    # 1e400 is read exactly, as 10^400, not as float infinity
     with open(curve_files["cusp"], encoding="utf-8") as fh:
         text = fh.read()
     path = tmp_path / "curve.json"
     path.write_text(text.replace(field, value))
     code, out, err = run_cli(["analyze", str(path)], timeout=30)
     assert code == 2 and out == ""
-    assert err == "error: bad curve description: cannot convert float infinity to integer\n"
+    shown = "10000000000000000000...000000000{} (401 characters)"
+    if "truncation" in field:
+        assert err == f"error: truncation {shown.format(0)} outside 0..1024\n"
+    else:
+        assert err == f"error: truncation 3 too small; need at least {shown.format(2)}\n"
+
+
+@pytest.mark.parametrize(
+    "point, exact",
+    [
+        ("1e400", "1" + "0" * 400),
+        ("0.1", "1/10"),
+        ("12345678901234567891.0", "12345678901234567891"),
+    ],
+    ids=["1e400", "0.1", "20 digits"],
+)
+def test_analyze_json_float_point_read_exactly(curve_files, tmp_path, point, exact):
+    # as a float, 1e400 would be infinity: the node's other branch, C0:inf
+    data = json.loads(Path(curve_files["node"]).read_text())
+    data["singular_points"][0]["branches"][1]["point"] = "POINT"
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data).replace('"POINT"', point))
+    code, out, _ = run_cli(["analyze", str(path), "--format", "json"], timeout=30)
+    assert code == 0
+    branches = json.loads(out)["curve"]["singular_points"][0]["branches"]
+    assert [b["point"] for b in branches] == ["0", exact]
+
+
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("field", ["point", "truncation"])
+def test_analyze_json_constant_not_a_number_exits_2(curve_files, tmp_path, constant, field):
+    data = json.loads(Path(curve_files["node"]).read_text())
+    if field == "point":
+        data["singular_points"][0]["branches"][1]["point"] = "VALUE"
+    else:
+        data["truncation"] = "VALUE"
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data).replace('"VALUE"', constant))
+    code, out, err = run_cli(["analyze", str(path)], timeout=30)
+    assert code == 2 and out == ""
+    assert err == f"error: bad rational literal {constant!r}\n"
 
 
 # --- chow ------------------------------------------------------------------------

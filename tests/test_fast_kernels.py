@@ -18,6 +18,7 @@ from albx.funcfield import (
     Place,
     Poly,
     RatFunc,
+    _squarefree_part,
     expand_at,
     leading_term,
     rational_roots,
@@ -36,6 +37,7 @@ from oracles import (
     residue_symbol_reference,
     series_inverse_reference,
     shifted_coefficients_reference,
+    squarefree_part_reference,
     val_at_reference,
 )
 
@@ -332,3 +334,76 @@ def test_rational_roots_match_sympy():
         for r, m in roots:
             rebuilt = rebuilt * Poly.linear(r) ** m
         assert rebuilt == poly.monic()
+
+
+def _unit_root(rng):
+    """Mostly an integer, like the sampler's pool points, else r/q with q <= 6."""
+    return F(rng.randint(-30, 30) or 1, 1 if rng.random() < 0.7 else rng.randint(2, 6))
+
+
+def test_squarefree_part_matches_euclid():
+    """The integer remainder sequence against Fraction Euclid on polynomials
+    shaped like sampled units: 2-30 distinct roots r/q with exponents up to
+    12, sometimes a 32-bit root, a repeated Eisenstein factor or a power of t."""
+    rng = random.Random(13)
+    seen = {"t^k": 0, "eisenstein": 0, "eisenstein^2": 0, "e >= 8": 0, "k >= 20": 0, "32-bit": 0}
+    for _ in range(CASES):
+        k = rng.randint(2, 30)
+        roots = set()
+        while len(roots) < k:
+            roots.add(_unit_root(rng))
+        if rng.random() < 0.1:
+            roots.pop()
+            roots.add(F(rng.randint(-(2**32), 2**32), rng.randint(1, 2**32)))
+            seen["32-bit"] += 1
+        poly, degree = Poly.const(1), k
+        for a in roots:
+            e = rng.randint(1, min(12, 36 // k))
+            poly = poly * Poly([-a.numerator, a.denominator]) ** e
+            seen["e >= 8"] += e >= 8
+        if rng.random() < 0.3:
+            e = rng.randint(1, 2)
+            eis = _eisenstein(rng)
+            poly, degree = poly * eis**e, degree + eis.degree
+            seen["eisenstein" if e == 1 else "eisenstein^2"] += 1
+        if rng.random() < 0.2:
+            poly, degree = poly * Poly([0, 1]) ** rng.randint(1, 3), degree + 1
+            seen["t^k"] += 1
+        seen["k >= 20"] += k >= 20
+        ints = poly.primitive_int()
+        sf = _squarefree_part(ints)
+        assert sf == squarefree_part_reference(ints)
+        assert len(sf) - 1 == degree
+    assert min(seen.values()) >= 50, seen
+
+
+def test_from_factors_matches_products():
+    """Integer products of (q t - r)^e against Fraction products of powers
+    of t - a, numerator and denominator bit for bit."""
+    rng = random.Random(14)
+    seen = {"non-integer root": 0, "e < 0": 0, "e = 0": 0, "scale != 1": 0, "scale = 0": 0}
+    for _ in range(CASES):
+        k, roots = rng.randint(0, 10), set()
+        while len(roots) < k:
+            roots.add(_point(rng) if rng.random() < 0.2 else _unit_root(rng))
+        factors = [(a, rng.choice([rng.randint(-12, 12), rng.randint(-3, 3)])) for a in roots]
+        scale = _rational(rng) if rng.random() < 0.8 else 1
+        num, den = Poly.const(scale), Poly.const(1)
+        for a, e in factors:
+            power = poly_pow_reference(Poly.linear(a), abs(e))
+            if e > 0:
+                num = poly_mul_reference(num, power)
+            else:
+                den = poly_mul_reference(den, power)
+            seen["non-integer root"] += a.denominator > 1
+            seen["e < 0"] += e < 0
+            seen["e = 0"] += e == 0
+        seen["scale != 1"] += scale != 1
+        seen["scale = 0"] += scale == 0
+        f = RatFunc.from_factors(factors, scale=scale, component="C1")
+        assert (f.num, f.den, f.component) == (num, den, "C1")
+        assert all(type(c) is F for c in f.num.coeffs + f.den.coeffs)
+        if factors:
+            with pytest.raises(ValueError):
+                RatFunc.from_factors(factors + [factors[0]])
+    assert min(seen.values()) >= 100, seen
