@@ -15,11 +15,12 @@ A Cartier unit is a dict of rational functions, one per component,
 whose branch expansions at every singular point share one nonzero
 constant term and whose centered jets lie in the span of the point's
 ideal generators (decided through the working truncation);
-certify_cartier checks exactly this.
+certify_cartier checks exactly this.  An ordinary point's maximal ideal
+holds every u^k on every branch, so there the jets always lie in it, and
+the unit is certified by its branch values alone.
 """
 
 from fractions import Fraction
-from math import prod
 
 from .arith import format_rat
 from .curve import Divisor, degree_per_component, series_tuple_vector, validate
@@ -84,6 +85,8 @@ def check_cycle_support(cycle, config):
 def certify_cartier(funcs, config):
     """Check the unit condition at every singular point.
 
+    At an ordinary point only the branch values are read (expansion
+    through exponent 0): its maximal ideal holds every centered jet.
     Returns None; raises NotCartierError with the branch and reason on
     failure.
     """
@@ -98,10 +101,11 @@ def certify_cartier(funcs, config):
         if f.component != comp:
             raise NotCartierError(f"function for {comp} is built on {f.component}")
     for sp in config.singular_points:
+        ordinary = sp.kind == "ordinary"
         expansions = []
         values = []
         for q in sp.branches:
-            series = expand_at(funcs[q.component], q, n)
+            series = expand_at(funcs[q.component], q, 0 if ordinary else n)
             if series.lead_bound() != 0:
                 raise NotCartierError(f"function has a zero or pole at branch {q!r}")
             values.append(series.coefficient(0))
@@ -112,6 +116,8 @@ def certify_cartier(funcs, config):
                 f"branch values at {sp.name} disagree: "
                 + ", ".join(format_rat(v) for v in values)
             )
+        if ordinary:
+            continue
         centered = tuple(s - value for s in expansions)
         vec = series_tuple_vector(sp, n, centered)
         if not config.mhat_span(sp.name).contains(vec):
@@ -260,8 +266,10 @@ def abel_jacobi(cycle, config, alb):
 
     At a finite branch q the interpolant is prod (q - a)^m over the
     cycle's finite points a on q's component; at a branch at infinity it
-    is 1, being monic over monic of one degree.  Interpolants are built
-    only on components that carry a Lie element.
+    is 1, being monic over monic of one degree.  Each torus coordinate
+    is an integer numerator and denominator over its (q - a)^(m w)
+    factors, made a Fraction once.  Interpolants are built only on
+    components that carry a Lie element.
     """
     config = validate(config)
     check_cycle_support(cycle, config)
@@ -269,15 +277,21 @@ def abel_jacobi(cycle, config, alb):
     bad = {c: d for c, d in degrees.items() if d}
     if bad:
         raise DegreeError(f"cycle has nonzero degree: {bad}")
-    finite = [(p, m) for p, m in cycle.items() if not p.is_infinite()]
-    torus = [
-        prod(
-            (q.coordinate - p.coordinate) ** (m * w)
-            for q, w in omega.items() if not q.is_infinite()
-            for p, m in finite if p.component == q.component
-        )
-        for omega in alb.etale_basis
-    ]
+    finite = [(p.component, p.coordinate, m) for p, m in cycle.items() if not p.is_infinite()]
+    torus = []
+    for omega in alb.etale_basis:
+        num = den = 1
+        for q, w in omega.items():
+            if q.is_infinite():
+                continue
+            qn, qd = q.coordinate.numerator, q.coordinate.denominator
+            for comp, a, m in finite:
+                if comp == q.component:
+                    x, y, e = qn * a.denominator - a.numerator * qd, qd * a.denominator, m * w
+                    if e < 0:
+                        x, y, e = y, x, -e
+                    num, den = num * x**e, den * y**e
+        torus.append(Fraction(num, den))
     lie = {q.component for delta in alb.lie_basis for q in delta.places()}
     funcs = {comp: interpolate_divisor(cycle, comp) for comp in lie}
     return AJPoint(torus, _lie_coordinates(funcs, alb.lie_basis))

@@ -20,7 +20,7 @@ import json
 import sys
 
 from .arith import MAX_HEIGHT, common_denominator, format_rat, parse_int
-from .chow import ZeroCycle, abel_jacobi
+from .chow import ZeroCycle, abel_jacobi, check_cycle_support
 from .curve import config_to_json, degree_per_component, load_config, validate
 from .errors import AlbxError, InputError
 from .funcfield import Place, RatFunc, parse_coordinate
@@ -254,6 +254,7 @@ def _check_cycle_size(cycle, alb):
 def cmd_chow(args):
     config = validate(load_config(args.curve))
     cycle = ZeroCycle.from_string(args.cycle)
+    check_cycle_support(cycle, config)
     degrees = degree_per_component(cycle)
     if any(degrees.values()):
         payload = {

@@ -32,7 +32,11 @@ Design choices worth knowing:
     a reduced ratio are reduced already,
   * rational roots are found p-adically (Hensel lifting and rational
     reconstruction), so no integer is ever factored; the squarefree
-    part they start from and from_factors' products run in integers.
+    part they start from and from_factors' products run in integers,
+  * a function built by from_factors keeps its roots and exponents, and
+    split_divisor reads its divisor off them (infinity from the
+    degrees); a parsed or computed function has none kept, and goes
+    through rational_roots.
 """
 
 from fractions import Fraction
@@ -89,8 +93,8 @@ class Place:
 
     def __init__(self, component, coordinate):
         object.__setattr__(self, "component", str(component))
-        if coordinate is not INF:
-            coordinate = Fraction(coordinate)
+        if coordinate is not INF and type(coordinate) is not Fraction:
+            coordinate = Fraction(coordinate)  # a Fraction is kept, not copied
         object.__setattr__(self, "coordinate", coordinate)
         object.__setattr__(self, "_hash", hash((self.component, coordinate)))
 
@@ -301,10 +305,12 @@ class RatFunc:
     The constructor runs Euclid only when numerator and denominator both
     have positive degree; otherwise nothing can cancel.  Scalar products
     and quotients and integer powers of a reduced ratio are reduced
-    already and skip the constructor.
+    already and skip the constructor.  factors is None, except on a
+    function built by from_factors: there it is (roots, exponents), the
+    finite zeros and poles with their nonzero orders.
     """
 
-    __slots__ = ("num", "den", "component")
+    __slots__ = ("num", "den", "component", "factors")
 
     def __init__(self, num, den=None, component="C0"):
         num = num if isinstance(num, Poly) else Poly.const(num)
@@ -323,17 +329,19 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "component", str(component))
+        object.__setattr__(self, "factors", None)
 
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
     @classmethod
-    def _raw(cls, num, den, component):
+    def _raw(cls, num, den, component, factors=None):
         """Skip gcd reduction; caller guarantees num, den coprime, den monic."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "num", num)
         object.__setattr__(obj, "den", den)
         object.__setattr__(obj, "component", str(component))
+        object.__setattr__(obj, "factors", factors)
         return obj
 
     @classmethod
@@ -351,15 +359,20 @@ class RatFunc:
         With a = r/q the numerator and the denominator are integer products
         of (q t - r)^|e|, one linear pass per unit of |e|; each is made
         monic, by its leading coefficient prod q^|e|, in one Fraction per
-        coefficient at the end.
+        coefficient at the end.  The roots with nonzero e stay in factors,
+        the caller's Fraction objects themselves, for split_divisor.
         """
         num, den = [1], [1]
-        seen = set()
+        seen, roots, exponents = set(), [], []
         for a, e in factors:
-            a = Fraction(a)
+            if type(a) is not Fraction:
+                a = Fraction(a)
             if a in seen:
                 raise ValueError("repeated root in from_factors")
             seen.add(a)
+            if e:
+                roots.append(a)
+                exponents.append(e)
             r, q = a.numerator, a.denominator
             for _ in range(e):
                 num = [q * x - r * y for x, y in zip([0, *num], [*num, 0])]
@@ -371,6 +384,7 @@ class RatFunc:
             Poly([Fraction(c * n, d) for c in num]),
             Poly([Fraction(c, den[-1]) for c in den]),
             component,
+            (tuple(roots), tuple(exponents)),
         )
 
     def is_zero(self):
@@ -805,20 +819,25 @@ def rational_roots(poly):
 def split_divisor(f):
     """Zero/pole places of f with multiplicities, infinity included.
 
-    Raises NonSplitError when a zero or pole is irrational.
+    The finite part is read off f.factors when from_factors set it, and
+    found by rational_roots otherwise.  Raises NonSplitError when a zero
+    or pole is irrational.
     """
     if f.is_zero():
         raise UndefinedValuationError("divisor of the zero function")
-    out = {}
-    for poly, sign in ((f.num, 1), (f.den, -1)):
-        if poly.degree <= 0:
-            continue
-        roots, cofactor = rational_roots(poly)
-        if cofactor.degree > 0:
-            raise NonSplitError(f"{poly!r} has an irrational factor {cofactor!r}")
-        for a, m in roots:
-            p = Place(f.component, a)
-            out[p] = out.get(p, 0) + sign * m
+    if f.factors is not None:
+        out = {Place(f.component, a): e for a, e in zip(*f.factors)}
+    else:
+        out = {}
+        for poly, sign in ((f.num, 1), (f.den, -1)):
+            if poly.degree <= 0:
+                continue
+            roots, cofactor = rational_roots(poly)
+            if cofactor.degree > 0:
+                raise NonSplitError(f"{poly!r} has an irrational factor {cofactor!r}")
+            for a, m in roots:
+                p = Place(f.component, a)
+                out[p] = out.get(p, 0) + sign * m
     v_inf = f.den.degree - f.num.degree
     if v_inf:
         p = Place(f.component, INF)

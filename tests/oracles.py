@@ -19,6 +19,9 @@ modulus criterion of symbols.is_modulus is tested against.
 lll_reduce_reference (LLL over Fraction Gram-Schmidt data) and
 l1_sweep_reference (the unpruned sweep) are the reference path for
 linalg.lll_reduce and the sampler's kernel basis.
+certify_cartier_reference expands every branch through the truncation
+and tests the centered jets against the maximal ideal at every point,
+ordinary ones included: the reference for chow.certify_cartier.
 """
 
 from fractions import Fraction as F
@@ -26,8 +29,10 @@ from math import gcd
 
 import sympy
 
-from albx.errors import UndefinedValuationError
-from albx.funcfield import LaurentSeries, Poly, RatFunc, split_divisor
+from albx.arith import format_rat
+from albx.curve import series_tuple_vector, validate
+from albx.errors import NotCartierError, UndefinedValuationError
+from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor
 from albx.symbols import residue_symbol, tame_symbol
 
 
@@ -533,3 +538,40 @@ def l1_sweep_reference(basis):
                         basis[i] = cand
                         changed = True
     return basis
+
+
+def certify_cartier_reference(funcs, config):
+    """The unit certificate through the truncation at every singular point:
+    no zero or pole at a branch, equal values, and centered jets in the
+    point's maximal ideal."""
+    config = validate(config)
+    n = config.truncation
+    for comp in config.components:
+        f = funcs.get(comp)
+        if f is None:
+            raise NotCartierError(f"no function given on component {comp}")
+        if f.is_zero():
+            raise NotCartierError(f"zero function on component {comp}")
+        if f.component != comp:
+            raise NotCartierError(f"function for {comp} is built on {f.component}")
+    for sp in config.singular_points:
+        expansions = []
+        values = []
+        for q in sp.branches:
+            series = expand_at(funcs[q.component], q, n)
+            if series.lead_bound() != 0:
+                raise NotCartierError(f"function has a zero or pole at branch {q!r}")
+            values.append(series.coefficient(0))
+            expansions.append(series)
+        value = values[0]
+        if any(v != value for v in values[1:]):
+            raise NotCartierError(
+                f"branch values at {sp.name} disagree: "
+                + ", ".join(format_rat(v) for v in values)
+            )
+        centered = tuple(s - value for s in expansions)
+        vec = series_tuple_vector(sp, n, centered)
+        if not config.mhat_span(sp.name).contains(vec):
+            raise NotCartierError(
+                f"centered jets at {sp.name} are not in the local ring (mod truncation)"
+            )

@@ -353,6 +353,18 @@ def test_chow_nonzero_degree_builds_no_receptor(curve_files, kernel_calls, capsy
     assert kernel_calls == {"etale_kernel": 0, "lie_kernel": 0}
 
 
+@pytest.mark.parametrize(
+    "cycle, message",
+    [
+        ("C0:0=+1", "error: cycle place C0:0 lies over the singular locus\n"),
+        ("X9:2=+1", "error: cycle place X9:2 on unknown component\n"),
+    ],
+)
+def test_chow_checks_support_before_degree(curve_files, cycle, message):
+    # both cycles have nonzero degree; the support is refused first
+    assert run_cli(["chow", curve_files["node"], "--cycle", cycle]) == (2, "", message)
+
+
 def test_chow_bad_support(curve_files):
     code, _, err = run_cli(
         ["chow", curve_files["node"], "--cycle", "C0:0=+1,C0:5=-1"]

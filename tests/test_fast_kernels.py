@@ -1,9 +1,12 @@
-"""Differential tests: funcfield's integer kernels against the dense references.
+"""Differential tests: funcfield's integer kernels and chow's unit
+certificate against the dense references.
 
 The references in oracles.py are the plain Fraction algorithms; the
-rational roots are compared with sympy.  Every case is seeded.
+rational roots are compared with sympy, a kept divisor with the root
+finder's.  Every case is seeded.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 import math
 import random
@@ -11,7 +14,9 @@ import random
 import pytest
 import sympy
 
-from albx.errors import InsufficientTruncationError, UndefinedValuationError
+from albx import fixtures
+from albx.chow import certify_cartier
+from albx.errors import InsufficientTruncationError, NotCartierError, UndefinedValuationError
 from albx.funcfield import (
     INF,
     LaurentSeries,
@@ -23,9 +28,11 @@ from albx.funcfield import (
     leading_term,
     rational_roots,
     residue,
+    split_divisor,
 )
 from albx.symbols import residue_symbol
 from oracles import (
+    certify_cartier_reference,
     dlog_reference,
     expand_at_reference,
     leading_term_reference,
@@ -407,3 +414,130 @@ def test_from_factors_matches_products():
             with pytest.raises(ValueError):
                 RatFunc.from_factors(factors + [factors[0]])
     assert min(seen.values()) >= 100, seen
+
+
+def test_kept_divisor_matches_rational_roots():
+    """split_divisor off from_factors' kept roots against the same num/den
+    through rational_roots; the kept roots are the caller's objects."""
+    rng = random.Random(15)
+    seen = Counter()
+    for _ in range(CASES):
+        roots = {F(0)} if rng.random() < 0.2 else set()
+        k = rng.randint(0, 6)
+        while len(roots) < k:
+            roots.add(_point(rng) if rng.random() < 0.2 else _unit_root(rng))
+        sign = rng.choice([1, -1, 0, 0])  # a pure numerator, a pure denominator, or mixed
+        factors = [(a, sign * rng.randint(0, 4) if sign else rng.randint(-4, 4)) for a in roots]
+        scale = (_rational(rng) or 3) if rng.random() < 0.7 else 1
+        f = RatFunc.from_factors(factors, scale=scale, component="C1")
+        kept = split_divisor(f)
+        assert kept == split_divisor(RatFunc._raw(f.num, f.den, f.component))
+        nonzero = [(a, e) for a, e in factors if e]
+        assert len(f.factors[0]) == len(nonzero)
+        assert all(x is a for x, (a, _) in zip(f.factors[0], nonzero))
+        assert all(p.coordinate is a for p, (a, _) in zip(kept, nonzero))
+        v_inf = kept.get(Place("C1", INF), 0)
+        seen["non-integer root"] += any(a.denominator > 1 for a, e in nonzero)
+        seen["root 0"] += any(a == 0 for a, e in nonzero)
+        seen["e = 0"] += len(nonzero) < len(factors)
+        seen["scale != 1"] += scale != 1
+        seen["pure numerator"] += f.den.degree == 0 < f.num.degree
+        seen["pure denominator"] += f.num.degree == 0 < f.den.degree
+        seen["v_inf > 0"] += v_inf > 0
+        seen["v_inf < 0"] += v_inf < 0
+    assert min(seen.values()) >= 100 and len(seen) == 8, seen
+
+
+def _value(poly, x):
+    acc = F(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _with_values(rng, comp, targets):
+    """A function on comp taking the value c at each (coordinate, c) of
+    targets, infinity allowed: (L + P A) / B, with P the product of the
+    finite t - b, L the Lagrange interpolant of c B(b), and A chosen so
+    that the degrees give the value at infinity."""
+    finite = [(b, c) for b, c in targets if b is not INF]
+    at_inf = [c for b, c in targets if b is INF]
+    k = len(finite)
+    degree = k + rng.randint(0, 2)
+    while True:
+        den = Poly([_unit_root(rng) for _ in range(degree)] + [rng.randint(1, 5)])
+        if all(_value(den, b) for b, _ in finite):
+            break
+    lagrange, product = Poly(), Poly.const(1)
+    for i, (b, c) in enumerate(finite):
+        term = Poly.const(c * _value(den, b))
+        for j, (x, _) in enumerate(finite):
+            if j != i:
+                term = term * Poly([-x, 1]) * (1 / (b - x))
+        lagrange = lagrange + term
+        product = product * Poly.linear(b)
+    if not at_inf:
+        top = [_unit_root(rng) for _ in range(rng.randint(0, 3))]
+    elif at_inf[0]:
+        top = [_unit_root(rng) for _ in range(degree - k)] + [at_inf[0] * den.leading()]
+    else:
+        top = [_unit_root(rng) for _ in range(rng.randint(0, degree - k))]
+    return RatFunc(lagrange + product * Poly(top), den, comp)
+
+
+def _certificate(certify, funcs, cfg):
+    try:
+        certify(funcs, cfg)
+    except NotCartierError as exc:
+        return str(exc)
+    return "unit"
+
+
+CARTIER_CURVES = {
+    "node": fixtures.node(),
+    "triple": fixtures.rfold(3),
+    "fourfold": fixtures.rfold(4),
+    "5-fold": fixtures.rfold(5),
+    "chain": fixtures.line_chain(3, ["ordinary", "ordinary"]),
+    "node-tacnode cycle": fixtures.line_chain(2, ["ordinary", "tacnode"]),
+}
+
+
+def test_certify_cartier_matches_full_expansion():
+    """An ordinary point certified by its values against the certificate
+    that expands every branch through the truncation: the same verdict and
+    the same message, on units and on non-units of every kind."""
+    rng = random.Random(16)
+    seen = Counter()
+    names = sorted(CARTIER_CURVES)
+    for i in range(CASES + 200):
+        cfg = CARTIER_CURVES[names[i % len(names)]]
+        kind = rng.choice(["unit", "unit", "disagree", "zero", "pole", "split"])
+        values = {sp.name: _rational(rng) or 1 for sp in cfg.singular_points}
+        targets = {comp: [] for comp in cfg.components}
+        for sp in cfg.singular_points:
+            for q in sp.branches:
+                targets[q.component].append([q, values[sp.name]])
+        odd = rng.choice([t for ts in targets.values() for t in ts])
+        if kind == "disagree":
+            odd[1] += rng.choice([-1, 1])
+        elif kind == "zero":
+            odd[1] = F(0)
+        funcs = {
+            comp: _with_values(rng, comp, [(q.coordinate, c) for q, c in ts])
+            for comp, ts in targets.items()
+        }
+        q = odd[0]
+        if kind == "pole":
+            f, t = funcs[q.component], RatFunc.variable(q.component)
+            funcs[q.component] = f * t if q.is_infinite() else f / (t - q.coordinate)
+        elif kind == "split":
+            roots = {_unit_root(rng) for _ in range(rng.randint(1, 4))}
+            funcs[q.component] = RatFunc.from_factors(
+                [(a, rng.choice([-2, -1, 1, 2])) for a in roots], component=q.component
+            )
+        verdict = _certificate(certify_cartier, funcs, cfg)
+        assert verdict == _certificate(certify_cartier_reference, funcs, cfg)
+        seen[verdict.split(" at ")[0]] += 1
+    reasons = ["unit", "function has a zero or pole", "branch values", "centered jets"]
+    assert min(seen[r] for r in reasons) >= 40, seen

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import l1_sweep_reference, lll_reduce_reference
 
-from albx import fixtures, sampling
+from albx import chow, fixtures, funcfield, sampling
 from albx.chow import abel_jacobi, certify_cartier, div_C, is_cartier_unit
 from albx.curve import degree_per_component
 from albx.errors import InputError
@@ -32,7 +32,9 @@ def test_random_split_ratfunc_splits():
     rng = random.Random(1)
     for _ in range(20):
         f = random_split_ratfunc(rng)
-        d = split_divisor(f)  # must not raise
+        d = split_divisor(f)  # read off the kept factors
+        # the same num/den without them goes through rational_roots
+        assert d == split_divisor(RatFunc(f.num, f.den, f.component))
         assert max(f.num.degree, f.den.degree) <= 5
         if d:
             assert sum(d.values()) == 0
@@ -160,3 +162,28 @@ def test_l1_sweep_matches_unpruned():
         basis = [v for v in basis if any(v)]
         want = l1_sweep_reference([list(v) for v in basis])
         assert sampling._l1_sweep(basis) == want
+
+
+def test_criterion_4_path_finds_no_roots(whole_zoo, monkeypatch):
+    """draw -> div_C -> abel_jacobi reads each sampled unit's divisor off
+    its kept factors, and certifies an ordinary point by its values."""
+
+    def no_roots(poly):
+        raise RuntimeError(f"rational_roots called on {poly!r}")
+
+    def by_value(f, p, n):
+        if n > 0:
+            raise RuntimeError(f"expansion at {p!r} asked through {n}")
+        return expand(f, p, n)
+
+    expand = chow.expand_at
+    monkeypatch.setattr(funcfield, "rational_roots", no_roots)
+    rng = random.Random(16)
+    for name, cfg in whole_zoo.items():
+        sampler, alb = CartierUnitSampler(cfg), albanese(cfg)
+        with monkeypatch.context() as m:
+            if name in ("node", "triple", "fourfold"):
+                m.setattr(chow, "expand_at", by_value)
+            for _ in range(5):
+                h = sampler.draw(rng)
+                assert abel_jacobi(div_C(h, cfg), cfg, alb).is_identity(), name
