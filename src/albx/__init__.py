@@ -23,7 +23,6 @@ from .chow import (
     abel_jacobi,
     div_C,
     interpolate_divisor,
-    is_cartier_unit,
     rationally_equivalent,
 )
 from .funcfield import (

@@ -14,10 +14,11 @@ is the identity.
 A Cartier unit is a dict of rational functions, one per component,
 whose branch expansions at every singular point share one nonzero
 constant term and whose centered jets lie in the span of the point's
-ideal generators (decided through the working truncation);
-certify_cartier checks exactly this.  An ordinary point's maximal ideal
-holds every u^k on every branch, so there the jets always lie in it, and
-the unit is certified by its branch values alone.
+ideal generators; certify_cartier checks exactly this.  validate proves
+that the span holds u^e on branch q for every e past q's conductor c_q,
+so each branch is expanded through c_q and no further: the jets past it
+cannot change the verdict.  An ordinary point has c_q = 0 on every
+branch, so there the unit is certified by its branch values alone.
 """
 
 from fractions import Fraction
@@ -83,15 +84,13 @@ def check_cycle_support(cycle, config):
 
 
 def certify_cartier(funcs, config):
-    """Check the unit condition at every singular point.
+    """Check the unit condition at every singular point, reading each
+    branch q through its conductor c_q.
 
-    At an ordinary point only the branch values are read (expansion
-    through exponent 0): its maximal ideal holds every centered jet.
     Returns None; raises NotCartierError with the branch and reason on
     failure.
     """
     config = validate(config)
-    n = config.truncation
     for comp in config.components:
         f = funcs.get(comp)
         if f is None:
@@ -101,37 +100,24 @@ def certify_cartier(funcs, config):
         if f.component != comp:
             raise NotCartierError(f"function for {comp} is built on {f.component}")
     for sp in config.singular_points:
-        ordinary = sp.kind == "ordinary"
         expansions = []
-        values = []
-        for q in sp.branches:
-            series = expand_at(funcs[q.component], q, 0 if ordinary else n)
+        for q, c in zip(sp.branches, sp.conductors):
+            series = expand_at(funcs[q.component], q, c)
             if series.lead_bound() != 0:
                 raise NotCartierError(f"function has a zero or pole at branch {q!r}")
-            values.append(series.coefficient(0))
             expansions.append(series)
-        value = values[0]
-        if any(v != value for v in values[1:]):
+        values = [s.coefficient(0) for s in expansions]
+        if any(v != values[0] for v in values[1:]):
             raise NotCartierError(
                 f"branch values at {sp.name} disagree: "
                 + ", ".join(format_rat(v) for v in values)
             )
-        if ordinary:
-            continue
-        centered = tuple(s - value for s in expansions)
-        vec = series_tuple_vector(sp, n, centered)
+        # the jets u^1..u^N, which centering at the value leaves alone
+        vec = series_tuple_vector(sp, config.truncation, expansions)
         if not config.mhat_span(sp.name).contains(vec):
             raise NotCartierError(
                 f"centered jets at {sp.name} are not in the local ring (mod truncation)"
             )
-
-
-def is_cartier_unit(funcs, config):
-    try:
-        certify_cartier(funcs, config)
-        return True
-    except NotCartierError:
-        return False
 
 
 def div_C(funcs, config):

@@ -57,9 +57,9 @@ def _tokenize(text):
         elif c in _TOKENS:
             out.append(c)
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():  # isdigit would pass superscripts, which int refuses
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             out.append(parse_int(text[i:j]))
             i = j

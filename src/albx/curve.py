@@ -373,10 +373,19 @@ def _series_from_json(place, data, truncation):
     return LaurentSeries(place, truncation, coeffs)
 
 
+def _integer(field, value):
+    """An integral JSON number, or a string of one, as an int: a bool or a
+    fraction is refused, not rounded."""
+    if isinstance(value, bool) or not isinstance(value, str) and Fraction(value).denominator != 1:
+        shown = json.dumps(value) if isinstance(value, bool) else abbreviate(format_rat(value))
+        raise InputError(f"{field} {shown} is not an integer")
+    return int(value)
+
+
 def config_from_json(data):
     try:
         components = [str(c["id"]) for c in data["components"]]
-        truncation = int(data["truncation"])
+        truncation = _integer("truncation", data["truncation"])
         points = []
         for entry in data.get("singular_points", []):
             branches = tuple(Place.from_json(b) for b in entry["branches"])
@@ -386,7 +395,7 @@ def config_from_json(data):
                 continue
             if kind != "explicit":
                 raise InputError(f"unknown singular point kind {kind!r}")
-            conductors = [int(c) for c in entry["conductors"]]
+            conductors = [_integer(f"{entry['name']}: conductor", c) for c in entry["conductors"]]
             generators = []
             for gen in entry["generators"]:
                 if len(gen) != len(branches):

@@ -12,16 +12,20 @@ differences are positive and no sign condition is left).  Each branch q
 of a point with two or more branches factors q - x once per pool factor
 t - x; a value row is the difference of two branches' exponents of one
 prime.  The sampler computes the integer kernel of one constraint
-matrix, size reduces it, and draws random small combinations; every
-draw is double checked against the real unit certificate.  A build
-tries up to three pool sizes and keeps the first with MIN_KERNEL
+matrix, size reduces it, and draws random small combinations, which
+the rows alone make units: degree zero leaves f = 1 at a branch at
+infinity, q - x > 0 leaves no zero or pole at a finite branch q, the
+value rows make the values agree, and the jet rows make the centered
+jets vanish through each conductor, past which validate proves the
+ideal holds every power.  So a draw is not certified; div_C is.  A
+build tries up to three pool sizes and keeps the first with MIN_KERNEL
 vectors within LENGTH_BUDGET or twice that, else the best-scored one.
 """
 
 from fractions import Fraction
 
 from .arith import factorint
-from .chow import ZeroCycle, is_cartier_unit
+from .chow import ZeroCycle
 from .curve import validate
 from .errors import InputError
 from .funcfield import Place, RatFunc
@@ -199,9 +203,8 @@ class CartierUnitSampler:
         return basis[:8]
 
     def draw(self, rng):
-        """One random unit tuple of degree at most max_unit_degree; always
-        rechecked by the certificate."""
-        cfg = self.config
+        """One random unit tuple of degree at most max_unit_degree, a nonzero
+        combination of kernel vectors and so a unit without a certificate."""
         for _ in range(DRAW_ATTEMPTS):
             weights = [rng.randint(-2, 2) for _ in self.basis]
             expo = [0] * len(self.columns)
@@ -210,14 +213,12 @@ class CartierUnitSampler:
                     expo = [e + w * x for e, x in zip(expo, b)]
             if not any(expo) or _l1(expo) > self.max_unit_degree:
                 continue
-            funcs = {
+            return {
                 comp: RatFunc.from_factors(
                     [(x, e) for (c, x), e in zip(self.columns, expo) if c == comp and e],
                     component=comp,
                 )
-                for comp in cfg.components
+                for comp in self.config.components
             }
-            if is_cartier_unit(funcs, cfg):
-                return funcs
         raise InputError("could not sample a Cartier unit; pool too small")
 

@@ -21,7 +21,9 @@ l1_sweep_reference (the unpruned sweep) are the reference path for
 linalg.lll_reduce and the sampler's kernel basis.
 certify_cartier_reference expands every branch through the truncation
 and tests the centered jets against the maximal ideal at every point,
-ordinary ones included: the reference for chow.certify_cartier.
+ordinary ones included: the reference for chow.certify_cartier, which
+reads each branch only through its conductor.  is_cartier_unit is
+chow.certify_cartier as a predicate, for the tests.
 """
 
 from fractions import Fraction as F
@@ -30,6 +32,7 @@ from math import gcd
 import sympy
 
 from albx.arith import format_rat
+from albx.chow import certify_cartier
 from albx.curve import series_tuple_vector, validate
 from albx.errors import NotCartierError, UndefinedValuationError
 from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor
@@ -575,3 +578,11 @@ def certify_cartier_reference(funcs, config):
             raise NotCartierError(
                 f"centered jets at {sp.name} are not in the local ring (mod truncation)"
             )
+
+
+def is_cartier_unit(funcs, config):
+    try:
+        certify_cartier(funcs, config)
+        return True
+    except NotCartierError:
+        return False

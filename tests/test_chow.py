@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import is_cartier_unit
+
 from albx.chow import (
     AJPoint,
     ZeroCycle,
@@ -11,7 +13,6 @@ from albx.chow import (
     certify_cartier,
     div_C,
     interpolate_divisor,
-    is_cartier_unit,
     rationally_equivalent,
 )
 from albx.curve import degree_per_component

@@ -133,6 +133,24 @@ def test_symbol_value_past_height_limit_exits_2():
     assert "more than 65536 bits" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("psi", ["t\u00b2", "t^\u00b2", "2\u00b3*t"])
+def test_symbol_superscript_digit_exits_2(psi):
+    # str.isdigit accepts superscripts, which int() refuses
+    code, out, err = run_cli(["symbol", "--tag", "gm", "--psi", psi, "--f", "t-1"])
+    assert code == 2 and out == ""
+    superscript = next(c for c in psi if c in "\u00b2\u00b3")
+    assert err == f"error: unexpected character {superscript!r} in expression\n"
+
+
+def test_symbol_reads_other_decimal_digits():
+    # ARABIC-INDIC DIGIT THREE is a decimal digit, and int() reads it as 3
+    code, out, err = run_cli(["symbol", "--tag", "gm", "--psi", "\u0663*t", "--f", "t-1"])
+    assert code == 0 and err == ""
+    assert out == run_cli(["symbol", "--tag", "gm", "--psi", "3*t", "--f", "t-1"])[1].replace(
+        "(3*t", "(\u0663*t"
+    )
+
+
 # --- analyze --------------------------------------------------------------------
 
 
@@ -272,6 +290,40 @@ def test_analyze_json_number_past_float_range_exits_2(curve_files, tmp_path, fie
         assert err == f"error: truncation {shown.format(0)} outside 0..1024\n"
     else:
         assert err == f"error: truncation 3 too small; need at least {shown.format(2)}\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ('"truncation": 3', '"truncation": 3.5', "truncation 7/2"),
+        ('"truncation": 3', '"truncation": true', "truncation true"),
+        ('"conductors": [1]', '"conductors": [1.9]', "p: conductor 19/10"),
+        ('"conductors": [1]', '"conductors": [false]', "p: conductor false"),
+    ],
+)
+def test_analyze_json_non_integer_exits_2(curve_files, tmp_path, field, value, shown):
+    # int() would floor 3.5 to 3 and 1.9 to 1, and read true as 1
+    text = Path(curve_files["cusp"]).read_text(encoding="utf-8")
+    path = tmp_path / "curve.json"
+    path.write_text(text.replace(field, value))
+    code, out, err = run_cli(["analyze", str(path)], timeout=30)
+    assert code == 2 and out == ""
+    assert err == f"error: {shown} is not an integer\n"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ('"truncation": 3', '"truncation": 3.0'),
+        ('"truncation": 3', '"truncation": "3"'),
+        ('"conductors": [1]', '"conductors": [1.0]'),
+    ],
+)
+def test_analyze_json_integral_number_reads_as_integer(curve_files, tmp_path, field, value):
+    text = Path(curve_files["cusp"]).read_text(encoding="utf-8")
+    path = tmp_path / "curve.json"
+    path.write_text(text.replace(field, value))
+    assert analyze_text_lines(str(path)) == analyze_text_lines(curve_files["cusp"])
 
 
 @pytest.mark.parametrize(

@@ -541,3 +541,123 @@ def test_certify_cartier_matches_full_expansion():
         seen[verdict.split(" at ")[0]] += 1
     reasons = ["unit", "function has a zero or pole", "branch values", "centered jets"]
     assert min(seen[r] for r in reasons) >= 40, seen
+
+
+def _bump(cfg, q, j, r):
+    """A function on q's component with a zero of order j at q, one just past
+    the conductor at every other branch there, and its only pole at r."""
+    factors, pole = [], 0
+    for sp in cfg.singular_points:
+        for p, c in zip(sp.branches, sp.conductors):
+            if p.component == q.component:
+                e = j if p == q else c + 1
+                pole += e
+                if e and not p.is_infinite():
+                    factors.append((p.coordinate, e))
+    if pole:
+        factors.append((r, -pole))
+    return RatFunc.from_factors(factors, component=q.component)
+
+
+def _times(funcs, comp, m):
+    """funcs[comp] *= m, left unreduced: RatFunc's product runs Euclid, seconds
+    at degree 60, and a common factor of numerator and denominator changes
+    no expansion, the one thing either certificate reads."""
+    f = funcs[comp]
+    funcs[comp] = RatFunc._raw(f.num * m.num, f.den * m.den, comp)
+
+
+def _times_one_plus(funcs, q, a, g):
+    _times(funcs, q.component, RatFunc.constant(1, q.component) + g * a)
+
+
+def _basis_units(sampler):
+    """The units of the sampler's kernel basis vectors and their negatives,
+    of degree at most 65: a draw can reach degree 500."""
+    out = []
+    for b in sampler.basis:
+        for sign in (1, -1):
+            out.append(
+                {
+                    comp: RatFunc.from_factors(
+                        [(x, sign * e) for (c, x), e in zip(sampler.columns, b) if c == comp and e],
+                        component=comp,
+                    )
+                    for comp in sampler.config.components
+                }
+            )
+    return out
+
+
+def _spoilt_unit(rng, cfg, units, kind):
+    """A kernel-basis unit times a constant and jets past the conductors, then
+    changed at one branch q of one point as kind says:
+      tangent - equal first jets on every branch of the point;
+      jet - 1 + a u^j at q, 1 <= j <= c_q, nothing else through a conductor
+        (tangent where every c_q is 0);
+      value - q's value times 1 + a, nothing else through a conductor;
+      zero, pole - a simple zero or pole at q;
+      split - a random split function on q's component."""
+    scale = _rational(rng) or F(1)
+    funcs = {comp: f * scale for comp, f in rng.choice(units).items()}
+
+    def pool_point():  # never a branch, nor a sampled unit's integer root
+        return F(-2 * rng.randint(1, 30) - 1, 2)
+
+    for _ in range(rng.randint(0, 2)):
+        sp = rng.choice(cfg.singular_points)
+        i = rng.randrange(len(sp.branches))
+        q, j = sp.branches[i], sp.conductors[i] + rng.randint(1, 3)
+        _times_one_plus(funcs, q, _rational(rng), _bump(cfg, q, j, pool_point()))
+    explicit = [
+        (q, c) for sp in cfg.singular_points for q, c in zip(sp.branches, sp.conductors) if c
+    ]
+    if kind == "jet" and explicit:
+        q, c = rng.choice(explicit)
+        a = _rational(rng) or F(1)
+        _times_one_plus(funcs, q, a, _bump(cfg, q, rng.randint(1, c), pool_point()))
+        return funcs
+    sp = rng.choice(cfg.singular_points)
+    q = rng.choice(sp.branches)
+    a = _rational(rng) or F(1)
+    if kind in ("tangent", "jet"):
+        for p in sp.branches:
+            g = _bump(cfg, p, 1, pool_point())
+            _times_one_plus(funcs, p, a / leading_term(g, p)[1], g)
+    elif kind == "value":
+        g = _bump(cfg, q, 0, pool_point())
+        _times_one_plus(funcs, q, (a if a != -1 else F(1)) / leading_term(g, q)[1], g)
+    elif kind in ("zero", "pole"):
+        r, e = pool_point(), 1 if kind == "zero" else -1
+        factors = [(r, -e)] if q.is_infinite() else [(q.coordinate, e), (r, -e)]
+        _times(funcs, q.component, RatFunc.from_factors(factors, component=q.component))
+    elif kind == "split":
+        roots = {_unit_root(rng) for _ in range(rng.randint(1, 4))}
+        funcs[q.component] = RatFunc.from_factors(
+            [(x, rng.choice([-2, -1, 1, 2])) for x in roots], component=q.component
+        )
+    return funcs
+
+
+def test_conductor_rule_matches_full_expansion(unit_samplers):
+    """Each branch read through its conductor against the certificate that
+    expands every branch through the truncation: the same verdict and the
+    same message, on sampled units spoilt in every way, jets through a
+    conductor included."""
+    rng = random.Random(17)
+    units = {name: _basis_units(s) for name, s in unit_samplers.items()}
+    names = sorted(unit_samplers)
+    kinds = ["unit", "tangent", "jet", "jet", "value", "zero", "pole", "split"]
+    seen = Counter()
+    for i in range(CASES + 200):
+        name = names[i % len(names)]
+        cfg, kind = unit_samplers[name].config, rng.choice(kinds)
+        funcs = _spoilt_unit(rng, cfg, units[name], kind)
+        verdict = _certificate(certify_cartier, funcs, cfg)
+        assert verdict == _certificate(certify_cartier_reference, funcs, cfg), (name, kind)
+        reason = verdict.split(" at ")[0]
+        seen[reason] += 1
+        seen["jet", reason] += kind == "jet"
+    reasons = ["unit", "function has a zero or pole", "branch values", "centered jets"]
+    assert min(seen[r] for r in reasons) >= 40, seen
+    assert seen["jet", "centered jets"] >= 40, seen

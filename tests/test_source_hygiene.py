@@ -9,7 +9,8 @@ which python -O drops: a check that can fail raises an error, and one
 that cannot is not written.  __init__.py is exempt from the import
 check, since its imports are the package's public names; dunder methods
 are exempt from the parameter check, since the protocol fixes their
-signatures.
+signatures.  Only curve.py reads a singular point's kind: every other
+module reads the conductors and spans that validate derives from it.
 """
 
 import ast
@@ -156,5 +157,18 @@ def test_no_assert_in_src():
         for name, tree in parsed_modules().items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
+def test_only_curve_reads_kind():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules().items()
+        if name != "curve.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "kind"
+        and isinstance(node.ctx, ast.Load)
     ]
     assert not found, found
