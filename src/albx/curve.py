@@ -28,7 +28,11 @@ MAX_TRUNCATION = 1024
 
 
 class Divisor:
-    """Finite Z-combination of places of the smooth model."""
+    """Finite Z-combination of places of the smooth model.
+
+    The places are sorted once, here, and kept in that order (a dict
+    keeps its insertion order), so places() and items() sort nothing.
+    """
 
     __slots__ = ("_coeffs",)
 
@@ -39,7 +43,8 @@ class Divisor:
             m = int(m)
             if m:
                 data[place] = data.get(place, 0) + m
-        object.__setattr__(self, "_coeffs", {p: m for p, m in data.items() if m})
+        order = sorted((p for p, m in data.items() if m), key=Place.sort_key)
+        object.__setattr__(self, "_coeffs", {p: data[p] for p in order})
 
     def __setattr__(self, *args):
         raise AttributeError("Divisor is immutable")
@@ -48,10 +53,10 @@ class Divisor:
         return self._coeffs.get(place, 0)
 
     def places(self):
-        return sorted(self._coeffs, key=Place.sort_key)
+        return list(self._coeffs)
 
     def items(self):
-        return [(p, self._coeffs[p]) for p in self.places()]
+        return list(self._coeffs.items())
 
     def __bool__(self):
         return bool(self._coeffs)

@@ -33,10 +33,12 @@ Design choices worth knowing:
   * rational roots are found p-adically (Hensel lifting and rational
     reconstruction), so no integer is ever factored; the squarefree
     part they start from and from_factors' products run in integers,
-  * a function built by from_factors keeps its roots and exponents, and
-    split_divisor reads its divisor off them (infinity from the
-    degrees); a parsed or computed function has none kept, and goes
-    through rational_roots.
+  * a function built by from_factors is held as (scale, roots,
+    exponents), and its dense numerator and denominator are multiplied
+    out on first read and kept; is_zero, split_divisor (infinity
+    included) and _local read the factors, so valuations, values and
+    jets of a sampled unit need no dense polynomial.  A parsed or
+    computed function is dense and goes through rational_roots.
 """
 
 from fractions import Fraction
@@ -299,6 +301,25 @@ def _strip_linear(ints, r, q):
     return m, ints
 
 
+def _multiply_out(scale, roots, exponents):
+    """Dense (num, den) of scale * prod (t - a)^e, den monic.
+
+    With a = r/q the numerator and the denominator are integer products
+    of (q t - r)^|e|, one linear pass per unit of |e|; each is made
+    monic, by its leading coefficient prod q^|e|, in one Fraction per
+    coefficient at the end.
+    """
+    num, den = [1], [1]
+    for a, e in zip(roots, exponents):
+        r, q = a.numerator, a.denominator
+        for _ in range(e):
+            num = [q * x - r * y for x, y in zip([0, *num], [*num, 0])]
+        for _ in range(-e):
+            den = [q * x - r * y for x, y in zip([0, *den], [*den, 0])]
+    n, d = scale.numerator, scale.denominator * num[-1]
+    return Poly([Fraction(c * n, d) for c in num]), Poly([Fraction(c, den[-1]) for c in den])
+
+
 class RatFunc:
     """Reduced ratio of polynomials on a named component, denominator monic.
 
@@ -306,8 +327,9 @@ class RatFunc:
     have positive degree; otherwise nothing can cancel.  Scalar products
     and quotients and integer powers of a reduced ratio are reduced
     already and skip the constructor.  factors is None, except on a
-    function built by from_factors: there it is (roots, exponents), the
-    finite zeros and poles with their nonzero orders.
+    function built by from_factors: there it is (scale, roots, exponents),
+    the finite zeros and poles with their nonzero orders, and num and den
+    are multiplied out only when first read (__getattr__).
     """
 
     __slots__ = ("num", "den", "component", "factors")
@@ -334,14 +356,25 @@ class RatFunc:
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
+    def __getattr__(self, name):
+        """num and den of a factored function, on first read; every other
+        read of a missing attribute fails as usual.  A dense function's
+        num and den are plain slots and never come here."""
+        if name not in ("num", "den") or self.factors is None:
+            raise AttributeError(name)
+        num, den = _multiply_out(*self.factors)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return num if name == "num" else den
+
     @classmethod
-    def _raw(cls, num, den, component, factors=None):
+    def _raw(cls, num, den, component):
         """Skip gcd reduction; caller guarantees num, den coprime, den monic."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "num", num)
         object.__setattr__(obj, "den", den)
         object.__setattr__(obj, "component", str(component))
-        object.__setattr__(obj, "factors", factors)
+        object.__setattr__(obj, "factors", None)
         return obj
 
     @classmethod
@@ -354,40 +387,28 @@ class RatFunc:
 
     @classmethod
     def from_factors(cls, factors, scale=1, component="C0"):
-        """Build scale * prod (t - a)^e from (a, e) pairs with distinct a.
-
-        With a = r/q the numerator and the denominator are integer products
-        of (q t - r)^|e|, one linear pass per unit of |e|; each is made
-        monic, by its leading coefficient prod q^|e|, in one Fraction per
-        coefficient at the end.  The roots with nonzero e stay in factors,
-        the caller's Fraction objects themselves, for split_divisor.
-        """
-        num, den = [1], [1]
+        """scale * prod (t - a)^e from (a, e) pairs with distinct a, held
+        factored: the roots with nonzero e, the caller's Fraction objects
+        themselves, and their exponents.  Nothing is multiplied out here."""
         seen, roots, exponents = set(), [], []
         for a, e in factors:
             if type(a) is not Fraction:
                 a = Fraction(a)
-            if a in seen:
+            key = a.numerator, a.denominator  # hashed faster than the Fraction
+            if key in seen:
                 raise ValueError("repeated root in from_factors")
-            seen.add(a)
+            seen.add(key)
             if e:
                 roots.append(a)
                 exponents.append(e)
-            r, q = a.numerator, a.denominator
-            for _ in range(e):
-                num = [q * x - r * y for x, y in zip([0, *num], [*num, 0])]
-            for _ in range(-e):
-                den = [q * x - r * y for x, y in zip([0, *den], [*den, 0])]
-        scale = Fraction(scale)
-        n, d = scale.numerator, scale.denominator * num[-1]
-        return cls._raw(
-            Poly([Fraction(c * n, d) for c in num]),
-            Poly([Fraction(c, den[-1]) for c in den]),
-            component,
-            (tuple(roots), tuple(exponents)),
-        )
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "component", str(component))
+        object.__setattr__(obj, "factors", (Fraction(scale), tuple(roots), tuple(exponents)))
+        return obj
 
     def is_zero(self):
+        if self.factors is not None:
+            return not self.factors[0]
         return self.num.is_zero()
 
     def _check(self, other):
@@ -615,6 +636,51 @@ def _unit_series(m, b, d, r, q, k):
     return out
 
 
+def _factored_local(scale, roots, exponents, a, n):
+    """_local of scale * prod (t - b)^e, read off the factors in integers.
+
+    In the local coordinate u at a finite a, t - a is u and every other
+    t - b is (a - b)(1 + w u) with w = 1/(a - b); at infinity every t - b
+    is u^(-1) (1 + w u) with w = -b.  So v is a's exponent (-sum e at
+    infinity), c_0 is scale prod (a - b)^e over b != a (scale at
+    infinity), and with the w over one common denominator W, w = m / W,
+    prod (1 + m x)^e = sum d_k x^k has integer coefficients and c_k =
+    c_0 d_k / W^k.  Newton's identity gives them from the power sums
+    P_i = sum e m^i: k d_k = sum_(i<=k) (-1)^(i+1) P_i d_(k-i), exactly.
+    """
+    if a is INF:
+        v, c0 = -sum(exponents), scale
+    else:
+        r, q = a.numerator, a.denominator
+        v, top, bottom, others = 0, scale.numerator, scale.denominator, []
+        for b, e in zip(roots, exponents):
+            x, y = r * b.denominator - b.numerator * q, q * b.denominator  # a - b = x / y
+            if not x:
+                v = e
+                continue
+            if e > 0:
+                top, bottom = top * x**e, bottom * y**e
+            else:
+                top, bottom = top * y**-e, bottom * x**-e
+            others.append((x, y, e))
+        c0 = Fraction(top, bottom)
+    k = 0 if n is None else max(n - v, 0)
+    if k == 0:
+        return v, [c0]
+    if a is INF:
+        ws, es = [-b for b in roots], exponents
+    else:
+        ws, es = [Fraction(y, x) for x, y, _ in others], [e for _, _, e in others]
+    ms, w = common_denominator(ws)
+    sums = [sum(e * m**i for e, m in zip(es, ms)) for i in range(1, k + 1)]  # P_1 .. P_k
+    d, c, wj = [1], [c0], 1
+    for j in range(1, k + 1):
+        d.append(sum((-1) ** i * sums[i] * d[j - 1 - i] for i in range(j)) // j)
+        wj *= w
+        c.append(c0 * Fraction(d[j], wj))
+    return v, c
+
+
 def _local(f, p, n=None):
     """(v, [c_0, ..., c_k]) with f = u^v (c_0 + c_1 u + ... + c_k u^k + O(u^(k+1)))
     in the local coordinate u at p and c_0 != 0, where k = n - v reaches
@@ -626,13 +692,16 @@ def _local(f, p, n=None):
     I = (q t - r)^m b = (q u)^m b(a + u) with b(a) != 0, and only b is
     expanded (_unit_series).  The unit part of f is one division of the
     numerator's unit series by the denominator's, over the denominator's
-    nonzero terms.
+    nonzero terms.  A factored function is read off its factors instead
+    (_factored_local).
     """
     if f.is_zero():
         raise UndefinedValuationError("valuation of the zero function")
     if p.component != f.component:
         raise InputError(f"place {p!r} not on component {f.component}")
     a = p.coordinate
+    if f.factors is not None:
+        return _factored_local(*f.factors, a, n)
     if a is INF:
         v = f.den.degree - f.num.degree
         k = 0 if n is None else max(n - v, 0)
@@ -819,14 +888,16 @@ def rational_roots(poly):
 def split_divisor(f):
     """Zero/pole places of f with multiplicities, infinity included.
 
-    The finite part is read off f.factors when from_factors set it, and
-    found by rational_roots otherwise.  Raises NonSplitError when a zero
-    or pole is irrational.
+    A factored function's divisor is read off its factors, infinity
+    included; a dense one's finite part is found by rational_roots.
+    Raises NonSplitError when a zero or pole is irrational.
     """
     if f.is_zero():
         raise UndefinedValuationError("divisor of the zero function")
     if f.factors is not None:
-        out = {Place(f.component, a): e for a, e in zip(*f.factors)}
+        _, roots, exponents = f.factors
+        out = {Place(f.component, a): e for a, e in zip(roots, exponents)}
+        v_inf = -sum(exponents)
     else:
         out = {}
         for poly, sign in ((f.num, 1), (f.den, -1)):
@@ -838,7 +909,7 @@ def split_divisor(f):
             for a, m in roots:
                 p = Place(f.component, a)
                 out[p] = out.get(p, 0) + sign * m
-    v_inf = f.den.degree - f.num.degree
+        v_inf = f.den.degree - f.num.degree
     if v_inf:
         p = Place(f.component, INF)
         out[p] = out.get(p, 0) + v_inf

@@ -6,12 +6,16 @@ exponent vectors satisfy finitely many constraints: degree zero per
 component, vanishing log-derivative jets up to the conductor at every
 branch, and matching values across the branches of each singular point.
 Jet constraints are rational-linear in the exponents; value matching
-becomes integer-linear after passing to prime valuations (every factor
+becomes integer-linear after passing to valuations (every factor
 is chosen below the branch coordinates, so all the evaluated
-differences are positive and no sign condition is left).  Each branch q
-of a point with two or more branches factors q - x once per pool factor
-t - x; a value row is the difference of two branches' exponents of one
-prime.  The sampler computes the integer kernel of one constraint
+differences are positive and no sign condition is left).  The numerators
+and denominators of every q - x, over the branches q of a point with two
+or more branches and the pool factors t - x, are split over one coprime
+base by gcd refinement (Bernstein, J. Algorithms 54, 2005), so no
+integer is factored; a value row is the difference of two branches'
+exponents of one base element.  Each prime divides exactly one base
+element, so the prime rows would be multiples of these and have the same
+integer kernel.  The sampler computes the integer kernel of one constraint
 matrix, size reduces it, and draws random small combinations, which
 the rows alone make units: degree zero leaves f = 1 at a branch at
 infinity, q - x > 0 leaves no zero or pole at a finite branch q, the
@@ -23,8 +27,8 @@ vectors within LENGTH_BUDGET or twice that, else the best-scored one.
 """
 
 from fractions import Fraction
+import math
 
-from .arith import factorint
 from .chow import ZeroCycle
 from .curve import validate
 from .errors import InputError
@@ -113,18 +117,53 @@ def _l1_sweep(basis):
     return basis
 
 
-def _exponents(q, columns):
-    """{prime: exponent} of q - x for each column (component, x); empty off
-    q's component, and at infinity, where f is exactly 1 by degree zero."""
-    out = []
-    for comp, x in columns:
-        e = {}
-        if comp == q.component and not q.is_infinite():
-            d = q.coordinate - x
-            e = factorint(d.numerator)
-            e.update((p, -k) for p, k in factorint(d.denominator).items())
-        out.append(e)
+def _coprime_base(values):
+    """Pairwise coprime integers > 1 of which every positive value is a
+    product of powers, by gcd refinement: a value sharing a factor g with
+    a base element b is replaced by g, b / g and value / g."""
+    base, todo = set(), [n for n in values if n > 1]
+    while todo:
+        n = todo.pop()
+        if n == 1 or n in base:
+            continue
+        for b in base:
+            g = math.gcd(n, b)
+            if g > 1:
+                base.remove(b)
+                todo.extend((g, b // g, n // g))
+                break
+        else:
+            base.add(n)
+    return base
+
+
+def _valuations(d, base):
+    """{base element: exponent} of a positive rational d whose numerator and
+    denominator are products of base powers."""
+    out, n, m = {}, d.numerator, d.denominator
+    for b in base:
+        k = 0
+        while n % b == 0:
+            n, k = n // b, k + 1
+        while m % b == 0:
+            m, k = m // b, k - 1
+        if k:
+            out[b] = k
     return out
+
+
+def _value_exponents(branches, columns):
+    """For each branch q, {base element: exponent} of q - x for each column
+    (component, x), over one coprime base of all of them; empty off q's
+    component, and at infinity, where f is exactly 1 by degree zero."""
+    diffs = [
+        [q.coordinate - x if c == q.component and not q.is_infinite() else None for c, x in columns]
+        for q in branches
+    ]
+    base = _coprime_base(
+        n for row in diffs for d in row if d is not None for n in (d.numerator, d.denominator)
+    )
+    return [[{} if d is None else _valuations(d, base) for d in row] for row in diffs]
 
 
 class CartierUnitSampler:
@@ -188,11 +227,11 @@ class CartierUnitSampler:
             if len(sp.branches) < 2:
                 continue
             # values match across the fiber: for each pair (first branch,
-            # other branch) and prime, f's exponents there are equal
-            base, *others = [_exponents(q, columns) for q in sp.branches]
+            # other branch) and base element, f's exponents there are equal
+            first, *others = _value_exponents(sp.branches, columns)
             for other in others:
-                for prime in sorted(set().union(*base, *other)):
-                    rows.append([o.get(prime, 0) - b.get(prime, 0) for o, b in zip(other, base)])
+                for b in sorted(set().union(*first, *other)):
+                    rows.append([o.get(b, 0) - f.get(b, 0) for o, f in zip(other, first)])
         basis = integer_kernel_basis(rows, len(columns))
         basis.sort(key=_l1)
         basis = basis[:16]

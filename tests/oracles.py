@@ -19,6 +19,10 @@ modulus criterion of symbols.is_modulus is tested against.
 lll_reduce_reference (LLL over Fraction Gram-Schmidt data) and
 l1_sweep_reference (the unpruned sweep) are the reference path for
 linalg.lll_reduce and the sampler's kernel basis.
+from_factors_reference (the eager integer products) is the reference for
+the dense numerator and denominator that RatFunc.from_factors multiplies
+out on first read, and, as a dense function, for the local form that
+funcfield reads off a factored function.
 certify_cartier_reference expands every branch through the truncation
 and tests the centered jets against the maximal ideal at every point,
 ordinary ones included: the reference for chow.certify_cartier, which
@@ -167,6 +171,25 @@ def poly_pow_reference(p, n):
         base = base * base
         n >>= 1
     return out
+
+
+def from_factors_reference(factors, scale=1, component="C0"):
+    """scale * prod (t - a)^e as a dense RatFunc, multiplied out at once:
+    integer products of (q t - r)^|e| for a = r/q, one linear pass per unit
+    of |e|, each made monic in one Fraction per coefficient at the end."""
+    num, den = [1], [1]
+    for a, e in factors:
+        a = F(a)
+        r, q = a.numerator, a.denominator
+        for _ in range(e):
+            num = [q * x - r * y for x, y in zip([0, *num], [*num, 0])]
+        for _ in range(-e):
+            den = [q * x - r * y for x, y in zip([0, *den], [*den, 0])]
+    scale = F(scale)
+    n, d = scale.numerator, scale.denominator * num[-1]
+    return RatFunc._raw(
+        Poly([F(c * n, d) for c in num]), Poly([F(c, den[-1]) for c in den]), component
+    )
 
 
 def squarefree_part_reference(ints):

@@ -714,6 +714,18 @@ def test_verify_inconclusive_on_fivefold_point(tmp_path):
     assert suite["status"] == "INCONCLUSIVE" and suite["passed"] is None
 
 
+def test_verify_inconclusive_on_node_at_a_large_point(tmp_path):
+    # the sampler splits each q - x over a coprime base instead of factoring
+    # it; 10^50 + 7 - x for the pool's x is beyond quick factoring
+    sp = SingularPoint("p", (Place("C0", 0), Place("C0", 10**50 + 7)))
+    path = tmp_path / "node.json"
+    path.write_text(json.dumps(config_to_json(CurveConfig(["C0"], [sp], 2))))
+    code, out, _ = run_cli(["verify", str(path), "--trials", "10", "--seed", "1"], timeout=30)
+    assert code == 3
+    assert "INCONCLUSIVE input_aj_kernel (0 checks) [input: no Cartier units" in out
+    assert "FAIL" not in out and out.endswith("INCONCLUSIVE overall (12 suites)\n")
+
+
 def test_verify_rejects_bad_trials():
     code, _, _ = run_cli(["verify", "--trials", "0"])
     assert code == 2

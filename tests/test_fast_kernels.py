@@ -1,5 +1,6 @@
-"""Differential tests: funcfield's integer kernels and chow's unit
-certificate against the dense references.
+"""Differential tests: funcfield's integer kernels, the local form read
+off a factored function, and chow's unit certificate against the dense
+references.
 
 The references in oracles.py are the plain Fraction algorithms; the
 rational roots are compared with sympy, a kept divisor with the root
@@ -23,7 +24,9 @@ from albx.funcfield import (
     Place,
     Poly,
     RatFunc,
+    _local,
     _squarefree_part,
+    evaluate,
     expand_at,
     leading_term,
     rational_roots,
@@ -35,6 +38,7 @@ from oracles import (
     certify_cartier_reference,
     dlog_reference,
     expand_at_reference,
+    from_factors_reference,
     leading_term_reference,
     multiplicity_reference,
     poly_mul_reference,
@@ -385,8 +389,9 @@ def test_squarefree_part_matches_euclid():
 
 
 def test_from_factors_matches_products():
-    """Integer products of (q t - r)^e against Fraction products of powers
-    of t - a, numerator and denominator bit for bit."""
+    """The lazily multiplied-out numerator and denominator against the eager
+    integer products of (q t - r)^e and against Fraction products of powers
+    of t - a, bit for bit."""
     rng = random.Random(14)
     seen = {"non-integer root": 0, "e < 0": 0, "e = 0": 0, "scale != 1": 0, "scale = 0": 0}
     for _ in range(CASES):
@@ -408,7 +413,10 @@ def test_from_factors_matches_products():
         seen["scale != 1"] += scale != 1
         seen["scale = 0"] += scale == 0
         f = RatFunc.from_factors(factors, scale=scale, component="C1")
-        assert (f.num, f.den, f.component) == (num, den, "C1")
+        # num and den are multiplied out on first read, as the eager products
+        eager = from_factors_reference(factors, scale, "C1")
+        assert (f.num, f.den, f.component) == (eager.num, eager.den, "C1")
+        assert (f.num, f.den) == (num, den)
         assert all(type(c) is F for c in f.num.coeffs + f.den.coeffs)
         if factors:
             with pytest.raises(ValueError):
@@ -433,8 +441,8 @@ def test_kept_divisor_matches_rational_roots():
         kept = split_divisor(f)
         assert kept == split_divisor(RatFunc._raw(f.num, f.den, f.component))
         nonzero = [(a, e) for a, e in factors if e]
-        assert len(f.factors[0]) == len(nonzero)
-        assert all(x is a for x, (a, _) in zip(f.factors[0], nonzero))
+        assert len(f.factors[1]) == len(nonzero)
+        assert all(x is a for x, (a, _) in zip(f.factors[1], nonzero))
         assert all(p.coordinate is a for p, (a, _) in zip(kept, nonzero))
         v_inf = kept.get(Place("C1", INF), 0)
         seen["non-integer root"] += any(a.denominator > 1 for a, e in nonzero)
@@ -446,6 +454,44 @@ def test_kept_divisor_matches_rational_roots():
         seen["v_inf > 0"] += v_inf > 0
         seen["v_inf < 0"] += v_inf < 0
     assert min(seen.values()) >= 100 and len(seen) == 8, seen
+
+
+def test_factored_local_matches_dense():
+    """_local, expand_at and evaluate read off the factors against the same
+    function multiplied out (from_factors_reference), at its zeros and
+    poles, at other points, integer or not, and at infinity; jets through
+    v + 0 .. v + 5, and expansions through 0 .. 5."""
+    rng = random.Random(18)
+    seen = Counter()
+    for _ in range(CASES + 200):
+        k, roots = rng.randint(0, 8), set()
+        while len(roots) < k:
+            roots.add(_point(rng) if rng.random() < 0.2 else _unit_root(rng))
+        factors = [(a, rng.choice([rng.randint(-6, 6), rng.randint(-2, 2)])) for a in roots]
+        scale = _rational(rng) or F(rng.randint(1, 9), rng.randint(1, 9))
+        f = RatFunc.from_factors(factors, scale=scale)
+        dense = from_factors_reference(factors, scale)
+        nonzero = [a for a, e in factors if e]
+        kind = rng.random()
+        if kind < 0.25:
+            a = INF
+        elif kind < 0.6 and nonzero:
+            a = rng.choice(sorted(nonzero))
+        else:
+            a = _unit_root(rng) if rng.random() < 0.5 else _point(rng)
+        p = Place("C0", a)
+        v = _local(dense, p)[0]
+        for j in range(6):
+            assert _local(f, p, v + j) == _local(dense, p, v + j)
+            assert expand_at(f, p, j) == expand_at(dense, p, j)
+        assert _local(f, p) == _local(dense, p)
+        if v >= 0:
+            assert evaluate(f, p) == evaluate(dense, p)
+        seen["zero" if v > 0 else "pole" if v < 0 else "unit"] += 1
+        seen["inf"] += a is INF
+        seen["non-integer place"] += a is not INF and a.denominator > 1
+        seen["scale != 1"] += scale != 1
+    assert min(seen.values()) >= 100 and len(seen) == 6, seen
 
 
 def _value(poly, x):

@@ -214,3 +214,38 @@ def test_criterion_4_path_finds_no_roots(whole_zoo, monkeypatch):
             h = sampler.draw(rng)
             assert abel_jacobi(div_C(h, cfg), cfg, alb).is_identity(), name
         assert len(certified) == 5, name
+
+
+def test_criterion_4_path_builds_no_dense_unit(whole_zoo, monkeypatch):
+    """draw -> div_C -> abel_jacobi multiplies no sampled unit out: at the
+    ordinary points nothing is built dense, and on the cusp and the tacnode
+    only the interpolants that the Lie coordinates read."""
+
+    def no_dense(*factors):
+        raise RuntimeError(f"dense build of {factors!r}")
+
+    def recorded(*factors):
+        built.append(factors)
+        return multiply_out(*factors)
+
+    def interpolant(cycle, component):
+        f = interpolate(cycle, component)
+        interpolants.append(f.factors)
+        return f
+
+    multiply_out, interpolate = funcfield._multiply_out, chow.interpolate_divisor
+    built, interpolants = [], []
+    monkeypatch.setattr(chow, "interpolate_divisor", interpolant)
+    rng = random.Random(19)
+    for name, cfg in whole_zoo.items():
+        lie = name in ("cusp", "tacnode")
+        monkeypatch.setattr(funcfield, "_multiply_out", recorded if lie else no_dense)
+        sampler, alb = CartierUnitSampler(cfg), albanese(cfg)
+        built.clear()
+        interpolants.clear()
+        for _ in range(10):
+            h = sampler.draw(rng)
+            assert abel_jacobi(div_C(h, cfg), cfg, alb).is_identity(), name
+        assert len(built) == (10 if lie else 0) == len(interpolants), name
+        # the roots tuple is passed on as it is kept, so identity tells them apart
+        assert all(any(b[1] is f[1] for f in interpolants) for b in built), name

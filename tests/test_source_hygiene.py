@@ -11,6 +11,8 @@ check, since its imports are the package's public names; dunder methods
 are exempt from the parameter check, since the protocol fixes their
 signatures.  Only curve.py reads a singular point's kind: every other
 module reads the conductors and spans that validate derives from it.
+Only arith.py names factorint: nothing else in the package factors an
+integer.
 """
 
 import ast
@@ -170,5 +172,16 @@ def test_only_curve_reads_kind():
         if isinstance(node, ast.Attribute)
         and node.attr == "kind"
         and isinstance(node.ctx, ast.Load)
+    ]
+    assert not found, found
+
+
+def test_only_arith_names_factorint():
+    # the sampler splits its values over a coprime base; factoring an
+    # integer of a user's curve can take exponential time
+    found = [
+        name
+        for name, tree in parsed_modules().items()
+        if name != "arith.py" and references(tree)["factorint"]
     ]
     assert not found, found
