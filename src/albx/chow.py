@@ -168,6 +168,9 @@ class AJPoint:
     def __setattr__(self, *args):
         raise AttributeError("AJPoint is immutable")
 
+    def __reduce__(self):
+        return AJPoint, (self.torus, self.vectorial)
+
     def is_identity(self):
         return all(x == 1 for x in self.torus) and not any(self.vectorial)
 

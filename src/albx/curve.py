@@ -9,11 +9,30 @@ stored through the working truncation order.  Ordinary (seminormal)
 points need no explicit data.
 
 validate() is the gatekeeper: at explicit points it checks the
-conductor condition (branchwise m^(n+1) powers land in the span
-generated by the declared generators) by exact linear algebra, and it
-attaches the span, which downstream kernel and membership computations
-reuse.  An ordinary point's maximal ideal holds every u^k on every
-branch, so its span is written down, and its conductor is 0.
+conductor condition (on each branch, u^e lies in the ideal generated by
+the declared generators for every e above the branch's conductor) by
+exact linear algebra, and it attaches the span, which downstream kernel
+and membership computations reuse.  An ordinary point's maximal ideal
+holds every u^k on every branch, so its span is written down, and its
+conductor is 0.
+
+The check costs the conductors, not the truncation order N (Serre,
+Algebraic Groups and Class Fields, ch. IV, on the conductor).  Window
+lemma: let c be a point's largest conductor.  If the closure through
+2c + 1 holds u^e on branch i for c_i < e <= 2c + 1, on every branch,
+then the closure through N holds u^e on branch i for every e > c_i.
+Truncation is a ring map, so the closure through N maps onto the closure
+through 2c + 1; hence for K = 2c + 2 each such u^e with e < K agrees
+with an element of the closure through N up to terms of order K and
+above.  If that holds for some K <= N, the elements matching
+u^(c_i + 1) and u^(K - c_i - 1) (both exponents lie between c_i and K,
+since K >= 2c_i + 2) multiply to an element of the closure that matches
+u^K on branch i up to order K + 1.  Subtracting such products removes
+the order-K error of every earlier match, so it holds for K + 1, and at
+K = N + 1 every match is exact.  So the span through N is the span
+through 2c + 1 with the unit vector of every u^e, e > 2c + 1, added
+(RowSpan.lifted), and its reduced form is the closure's through N, row
+for row.
 """
 
 from fractions import Fraction
@@ -48,6 +67,9 @@ class Divisor:
 
     def __setattr__(self, *args):
         raise AttributeError("Divisor is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.items(),)
 
     def coeff(self, place):
         return self._coeffs.get(place, 0)
@@ -133,6 +155,11 @@ class SingularPoint:
     def __setattr__(self, *args):
         raise AttributeError("SingularPoint is immutable")
 
+    def __reduce__(self):
+        return SingularPoint, (
+            self.name, self.branches, self.kind, self.conductors, self.generators
+        )
+
     def __repr__(self):
         return f"SingularPoint({self.name!r}, branches={list(self.branches)!r}, kind={self.kind!r})"
 
@@ -151,6 +178,11 @@ class CurveConfig:
 
     def __setattr__(self, *args):
         raise AttributeError("CurveConfig is immutable")
+
+    def __reduce__(self):
+        return CurveConfig, (
+            self.components, self.singular_points, self.truncation, self.validated, self._spans
+        )
 
     def branch_places(self):
         out = []
@@ -206,9 +238,14 @@ def _closure_span(sp, generators, truncation):
     """Span of all products of generators, modulo the truncation order.
 
     A product is zero unless its factors are nonzero on a shared branch.
+    The generators are cut to the truncation order first, so no product
+    forms a term that the span cannot hold.
     """
     span = RowSpan(len(sp.branches) * truncation)
-    gens = [(g, _support(g)) for g in generators]
+    gens = []
+    for g in generators:
+        g = tuple(None if s is None else LaurentSeries(s.place, truncation, s.coeffs) for s in g)
+        gens.append((g, _support(g)))
     frontier = [(g, on) for g, on in gens if span.add(series_tuple_vector(sp, truncation, g))]
     while frontier:
         new_frontier = []
@@ -225,12 +262,32 @@ def _closure_span(sp, generators, truncation):
     return span
 
 
+def _conductor_gap(sp, span, truncation):
+    """The first (branch index, e) with u^e past the branch's conductor
+    and through the truncation order outside span, or None."""
+    for i, c in enumerate(sp.conductors):
+        for e in range(c + 1, truncation + 1):
+            probe = [0] * span.ncols  # u^e on branch i
+            probe[i * truncation + e - 1] = 1
+            if not span.contains(probe):
+                return i, e
+    return None
+
+
 def validate(config):
     """Check all configuration invariants; returns the checked config.
 
     For ordinary points, conductors (all zero) and the full span are
     filled in.  For explicit points the conductor condition is verified
-    by linear algebra on coefficient vectors through the truncation order.
+    by linear algebra on coefficient vectors through M = min(N, 2c + 1),
+    c the point's largest conductor.  Window lemma (Serre, Algebraic
+    Groups and Class Fields, ch. IV; proof in the module docstring): if
+    the closure through 2c + 1 holds u^e on each branch i for
+    c_i < e <= 2c + 1, the closure through N holds it for every e > c_i.
+    So the span through N is the closure through M with every u^e,
+    e > M, added.  Only when a probe fails, which takes invalid input,
+    is the closure through N formed, so that the error names the first
+    (branch, power) that the condition through N misses.
     """
     if config.validated:
         return config
@@ -307,21 +364,23 @@ def validate(config):
 
     spans = {}
     for sp in new_points:
+        r = len(sp.branches)
         if sp.kind == "ordinary":
-            # the maximal ideal holds every u^k on every branch
-            spans[sp.name] = RowSpan.full(len(sp.branches) * n)
+            # the maximal ideal holds every u^k on every branch: the lift
+            # of the zero ring's span through truncation 0
+            spans[sp.name] = RowSpan(0).lifted(r, n)
             continue
-        span = _closure_span(sp, sp.generators, n)
-        for i, q in enumerate(sp.branches):
-            for e in range(sp.conductors[i] + 1, n + 1):
-                probe = [0] * span.ncols  # u^e on branch i
-                probe[i * n + e - 1] = 1
-                if not span.contains(probe):
-                    raise ValidationError(
-                        f"{sp.name}: conductor condition fails at branch {q!r}, "
-                        f"u^{e} not generated"
-                    )
-        spans[sp.name] = span
+        window = min(n, 2 * max(sp.conductors) + 1)
+        span = _closure_span(sp, sp.generators, window)
+        if _conductor_gap(sp, span, window):
+            if window < n:
+                span = _closure_span(sp, sp.generators, n)
+            i, e = _conductor_gap(sp, span, n)
+            raise ValidationError(
+                f"{sp.name}: conductor condition fails at branch {sp.branches[i]!r}, "
+                f"u^{e} not generated"
+            )
+        spans[sp.name] = span.lifted(r, n)
 
     return CurveConfig(config.components, new_points, n, validated=True, spans=spans)
 

@@ -103,6 +103,9 @@ class Place:
     def __setattr__(self, *args):
         raise AttributeError("Place is immutable")
 
+    def __reduce__(self):
+        return Place, (self.component, self.coordinate)
+
     def is_infinite(self):
         return self.coordinate is INF
 
@@ -148,6 +151,9 @@ class Poly:
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
 
     @classmethod
     def const(cls, c):
@@ -356,6 +362,13 @@ class RatFunc:
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
+    def __reduce__(self):
+        """Rebuilt by from_factors when factored, so it stays factored."""
+        if self.factors is None:
+            return RatFunc._raw, (self.num, self.den, self.component)
+        scale, roots, exponents = self.factors
+        return RatFunc.from_factors, (tuple(zip(roots, exponents)), scale, self.component)
+
     def __getattr__(self, name):
         """num and den of a factored function, on first read; every other
         read of a missing attribute fails as usual.  A dense function's
@@ -518,6 +531,9 @@ class LaurentSeries:
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentSeries is immutable")
+
+    def __reduce__(self):
+        return LaurentSeries, (self.place, self.truncation, self.coeffs)
 
     @classmethod
     def monomial(cls, place, exponent, coeff, truncation):

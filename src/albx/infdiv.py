@@ -9,14 +9,18 @@ action to the subideal generated by the singular point's generators.
 The formal group attached to a configuration is cut out by two kernels:
 
   * etale part: divisors supported on the branch places, of degree zero
-    on every component, whose push-forward to the curve vanishes
-    (an integer lattice, computed by Hermite reduction);
+    on every component, whose push-forward to the curve vanishes.  That
+    is H_1 of the dual graph, read off the fundamental cycles of a
+    spanning forest and put in Hermite form;
   * Lie part: principal parts with pole order at most the conductor at
     each branch, annihilating every element of the maximal ideal of the
-    curve downstairs (a homogeneous rational system).
+    curve downstairs (a homogeneous rational system on the conductor
+    columns of the ideal's reduced span).
 
 Both systems are finite thanks to the conductor bound; poles above the
-conductor are excluded a priori, not tested.
+conductor are excluded a priori, not tested.  Neither costs the
+truncation order: the lattice depends on the dual graph alone, and the
+Lie system has one column per pole order up to the conductor.
 """
 
 from fractions import Fraction
@@ -24,7 +28,7 @@ from fractions import Fraction
 from .curve import Divisor
 from .errors import InputError, ValidationError
 from .funcfield import LaurentSeries, Place
-from .linalg import integer_kernel_basis, rational_kernel_basis
+from .linalg import hnf_rows, rational_kernel_basis
 from .arith import format_rat
 
 
@@ -48,6 +52,9 @@ class InfinitesimalDivisor:
 
     def __setattr__(self, *args):
         raise AttributeError("InfinitesimalDivisor is immutable")
+
+    def __reduce__(self):
+        return InfinitesimalDivisor, (self.parts,)
 
     def places(self):
         return sorted(self.parts, key=Place.sort_key)
@@ -107,6 +114,9 @@ class FormalGroupData:
     def __setattr__(self, *args):
         raise AttributeError("FormalGroupData is immutable")
 
+    def __reduce__(self):
+        return FormalGroupData, (self.etale_basis, self.lie_basis)
+
     @property
     def rank(self):
         return len(self.etale_basis)
@@ -140,31 +150,61 @@ def _require_validated(config):
 def etale_kernel(config):
     """Lattice basis of branch-supported, degree-0 divisors killed by push-forward.
 
-    The system stacks one degree row per component with one incidence
-    row per singular point; the saturated integer kernel is returned as
-    primitive vectors in Hermite form.
+    In the dual graph the components and the singular points are the
+    vertices, and each branch is an edge from its component to its
+    point.  A divisor on the branches is killed by every component's
+    degree row and every point's fiber row exactly when it sums to zero
+    at every vertex: when it is a cycle.  The fundamental cycles of a
+    spanning forest, one per branch outside it, are a Z-basis of the
+    cycles; each walks its branch from component to point and returns
+    through the forest, with sign +1 on a branch walked from component
+    to point and -1 on one walked back.  hnf_rows puts them in canonical
+    form.
     """
     _require_validated(config)
     cols = config.branch_places()
-    if not cols:
-        return []
-    rows = []
-    for comp in config.components:
-        rows.append([1 if q.component == comp else 0 for q in cols])
-    for sp in config.singular_points:
-        fiber = set(sp.branches)
-        rows.append([1 if q in fiber else 0 for q in cols])
-    basis = integer_kernel_basis(rows, len(cols))
-    return [Divisor(zip(cols, vec)) for vec in basis]
+    point = {q: sp.name for sp in config.singular_points for q in sp.branches}
+    ends = [(("component", q.component), ("point", point[q])) for q in cols]
+    edges = {}  # vertex -> [(column, other end)]
+    for k, (a, b) in enumerate(ends):
+        edges.setdefault(a, []).append((k, b))
+        edges.setdefault(b, []).append((k, a))
+    up = {}  # vertex -> (column of its forest edge, parent), (None, None) at a root
+    for root in edges:
+        if root not in up:
+            up[root], stack = (None, None), [root]
+            while stack:
+                v = stack.pop()
+                for k, w in edges[v]:
+                    if w not in up:
+                        up[w] = (k, v)
+                        stack.append(w)
+    forest = {k for k, _ in up.values()}
+    cycles = []
+    for k, (comp, pt) in enumerate(ends):
+        if k in forest:
+            continue
+        vec = [0] * len(cols)
+        vec[k] = 1
+        # back from pt to comp: up from pt toward the root, then down from
+        # the root to comp; the stretch both climbs share cancels
+        for v, sign in ((pt, 1), (comp, -1)):
+            while up[v][1] is not None:
+                vec[up[v][0]] += sign if v[0] == "component" else -sign
+                v = up[v][1]
+        cycles.append(vec)
+    return [Divisor(zip(cols, vec)) for vec in hnf_rows(cycles, len(cols))]
 
 
 def lie_kernel(config):
     """Basis of principal-part families annihilating every singular point ideal.
 
     The search space at a branch q is the pole orders 1..n_q (conductor
-    bound); the constraints are the residue pairings against a basis of
-    the span of the generator monomials, through the truncation order.
-    The system is block diagonal over the singular points.
+    bound); the constraints are the residue pairings against the rows of
+    the reduced span of the maximal ideal, which only read the span's
+    conductor columns, so each row contributes its entries there and
+    rows with none drop out.  The system is block diagonal over the
+    singular points.
     """
     _require_validated(config)
     n = config.truncation
@@ -176,13 +216,11 @@ def lie_kernel(config):
                 cols.append((i, j))
         if not cols:
             continue
-        span_rows = config.mhat_span(sp.name).rows()
         rows = []
-        for mvec in span_rows:
-            row = []
-            for i, j in cols:
-                row.append(j * mvec[i * n + (j - 1)])
-            rows.append(row)
+        for _, mvec in config.mhat_span(sp.name).sparse_rows():
+            row = [j * mvec.get(i * n + j - 1, 0) for i, j in cols]
+            if any(row):
+                rows.append(row)
         for vec in rational_kernel_basis(rows, len(cols)):
             parts = {}
             for (i, j), a in zip(cols, vec):

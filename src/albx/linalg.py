@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and the integers.
 
 There is one rational elimination (RowSpan, a sparse reduced row
-echelon form maintained incrementally) and one integer elimination
+echelon form maintained incrementally, which RowSpan.lifted carries to
+wider column blocks without eliminating) and one integer elimination
 (hnf_rows, the row Hermite normal form).  Rational kernels are read off
 the reduced row space; integer (lattice) kernels come from Hermite
 reduction of [A^T | I].  All bases are canonicalized (Hermite form,
@@ -70,11 +71,23 @@ class RowSpan:
         self.ncols = ncols
         self._rows = {}  # pivot column -> sparse row
 
-    @classmethod
-    def full(cls, ncols):
-        """The whole space, spanned by the unit vectors."""
-        span = cls(ncols)
-        span._rows = {c: {c: Fraction(1)} for c in range(ncols)}
+    def lifted(self, blocks, width):
+        """The preimage of this span under truncating each of blocks column
+        blocks from width columns to its own ncols // blocks.
+
+        Its rows move to the wider blocks, and every new column brings its
+        unit vector.  Moving columns keeps their order, and no moved row
+        meets a new column, so the result is reduced as it stands.
+        """
+        old = self.ncols // blocks
+        span = RowSpan(blocks * width)
+        for p, row in self._rows.items():
+            span._rows[p // old * width + p % old] = {
+                c // old * width + c % old: x for c, x in row.items()
+            }
+        for c in range(blocks * width):
+            if c % width >= old:
+                span._rows[c] = {c: Fraction(1)}
         return span
 
     @property
@@ -108,10 +121,10 @@ class RowSpan:
     def contains(self, vec):
         return not self._reduce(vec)
 
-    def rows(self):
-        """Dense reduced basis rows ordered by pivot column (deterministic)."""
-        zero, rows = Fraction(0), [self._rows[p] for p in sorted(self._rows)]
-        return [[row.get(c, zero) for c in range(self.ncols)] for row in rows]
+    def sparse_rows(self):
+        """(pivot, sparse row) pairs in pivot order; the rows are the span's
+        own, not copies."""
+        return sorted(self._rows.items())
 
 
 def integer_kernel_basis(rows, ncols):

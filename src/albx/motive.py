@@ -41,6 +41,9 @@ class OneMotive:
     def __setattr__(self, *args):
         raise AttributeError("OneMotive is immutable")
 
+    def __reduce__(self):
+        return OneMotive, (self.formal, self.dual)
+
     def __eq__(self, other):
         return (
             isinstance(other, OneMotive)

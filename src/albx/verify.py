@@ -20,7 +20,7 @@ from .chow import (
     interpolate_divisor,
     rationally_equivalent,
 )
-from .curve import validate
+from .curve import degree_per_component, validate
 from .errors import InputError, ValidationError
 from .fixtures import line_chain, modulus_curve, zoo
 from .funcfield import (
@@ -178,7 +178,10 @@ def genus_defect(config, formal):
     graph, whose vertices are the components and singular points and
     whose edges are the branches.  The Lie dimension is the sum over
     singular points p of r_p N - rank m_p, the jets u^1..u^N on the r_p
-    branches that the maximal ideal m_p misses.
+    branches that the maximal ideal m_p misses.  The lattice is built
+    from b1 fundamental cycles, so its rank alone shows little; every
+    lattice vector must also have degree 0 on each component and sum to
+    0 over each singular point's fiber.
     """
     linked = {c: {c} for c in config.components}  # components joined so far
     for sp in config.singular_points:
@@ -193,6 +196,11 @@ def genus_defect(config, formal):
         for sp in config.singular_points
     )
     defects = []
+    for d in formal.etale_basis:
+        fibers = [sum(d.coeff(q) for q in sp.branches) for sp in config.singular_points]
+        if any(degree_per_component(d).values()) or any(fibers):
+            defects.append(f"lattice vector {d!r} not killed by the degree and fiber rows")
+            break
     if formal.rank != b1:
         defects.append(f"lattice rank {formal.rank}, b1 {b1}")
     if formal.dim != gaps:

@@ -3,7 +3,9 @@
 Everything here recomputes results from raw configuration data with
 sympy row reduction (exhaustive row reduction for the integer side,
 dense pairing matrices for the Lie side).  No code is shared with the
-package's own elimination routines.  The dense Fraction kernels at the
+package's own elimination routines, except where a reference says so:
+etale_kernel_reference runs linalg.integer_kernel_basis, which the
+linalg tests check against sympy.  The dense Fraction kernels at the
 end are the reference the integer polynomial and series kernels of
 funcfield are tested against, repeated squaring is the reference for
 the power recurrence, expand_at_reference is the reference for
@@ -23,6 +25,11 @@ from_factors_reference (the eager integer products) is the reference for
 the dense numerator and denominator that RatFunc.from_factors multiplies
 out on first read, and, as a dense function, for the local form that
 funcfield reads off a factored function.
+closure_verdict_reference (the closure through the truncation order,
+probed at every power) is the reference for curve.validate, which
+closes an explicit point only through 2c + 1, and etale_kernel_reference
+(the integer kernel of the degree and fiber rows) is the reference for
+the fundamental cycles of infdiv.etale_kernel.
 certify_cartier_reference expands every branch through the truncation
 and tests the centered jets against the maximal ideal at every point,
 ordinary ones included: the reference for chow.certify_cartier, which
@@ -37,9 +44,10 @@ import sympy
 
 from albx.arith import format_rat
 from albx.chow import certify_cartier
-from albx.curve import series_tuple_vector, validate
+from albx.curve import Divisor, _closure_span, series_tuple_vector, validate
 from albx.errors import NotCartierError, UndefinedValuationError
 from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor
+from albx.linalg import integer_kernel_basis
 from albx.symbols import residue_symbol, tame_symbol
 
 
@@ -388,6 +396,13 @@ class DenseRowSpan:
         return [self._rows[p] for p in sorted(self._rows)]
 
 
+def dense_rows(span):
+    """A linalg.RowSpan's reduced rows as dense Fraction lists, in pivot
+    order: the form DenseRowSpan.rows() returns."""
+    zero = F(0)
+    return [[row.get(c, zero) for c in range(span.ncols)] for _, row in span.sparse_rows()]
+
+
 def rational_kernel_basis_reference(rows, ncols):
     """Kernel basis read off DenseRowSpan: primitive, first nonzero entry > 0."""
     span = DenseRowSpan(ncols)
@@ -428,6 +443,40 @@ def dense_closure_rows(sp, truncation):
                     new.append(prod)
         frontier = new
     return span.rows()
+
+
+def closure_verdict_reference(sp, truncation):
+    """curve.validate's verdict at one explicit point, as it was before the
+    window lemma: close the generators through the truncation (the
+    package's own closure, which test_mhat_span_matches_dense_closure
+    checks against the dense one), then probe u^e on each branch for
+    every e past its conductor, branch by branch.  Returns the dense
+    reduced rows of the closure, or the ValidationError text naming the
+    first (branch, power) it misses."""
+    n = truncation
+    span = _closure_span(sp, sp.generators, n)
+    for i, q in enumerate(sp.branches):
+        for e in range(sp.conductors[i] + 1, n + 1):
+            probe = [0] * span.ncols
+            probe[i * n + e - 1] = 1
+            if not span.contains(probe):
+                return f"{sp.name}: conductor condition fails at branch {q!r}, u^{e} not generated"
+    return dense_rows(span)
+
+
+def etale_kernel_reference(config):
+    """infdiv.etale_kernel as the integer kernel of its system: one degree
+    row per component and one incidence row per singular point, reduced
+    through the Hermite form of [A^T | I] (linalg.integer_kernel_basis)."""
+    cols = config.branch_places()
+    if not cols:
+        return []
+    rows = [[1 if q.component == comp else 0 for q in cols] for comp in config.components]
+    for sp in config.singular_points:
+        fiber = set(sp.branches)
+        rows.append([1 if q in fiber else 0 for q in cols])
+    basis = integer_kernel_basis(rows, len(cols))
+    return [Divisor(zip(cols, vec)) for vec in basis]
 
 
 # --- the modulus certificate, the reference for symbols.is_modulus -----------

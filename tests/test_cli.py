@@ -12,10 +12,10 @@ import pytest
 import albx
 from albx.arith import format_rat
 from albx.cli import main, parse_expression
-from albx.curve import CurveConfig, SingularPoint, config_to_json
+from albx.curve import MAX_TRUNCATION, CurveConfig, SingularPoint, config_to_json
 from albx.errors import InputError
 from albx.fixtures import cusp, node, rfold, tacnode, tacnode_point
-from albx.funcfield import INF, Place, RatFunc
+from albx.funcfield import INF, LaurentSeries, Place, RatFunc
 
 T = RatFunc.variable()
 
@@ -735,3 +735,22 @@ def test_main_entry_direct(curve_files, capsys):
     assert main(["analyze", curve_files["node"]]) == 0
     captured = capsys.readouterr()
     assert "lattice rank: 1" in captured.out
+
+
+def test_analyze_at_the_truncation_limit(tmp_path):
+    # validate closes the cusp and the tacnode through 2c + 1 = 3, and the
+    # kernels read the conductor columns and the dual graph, so N = 1024
+    # costs about what N = 3 does
+    n = MAX_TRUNCATION
+    q = Place("C0", 0)
+    gens = ((LaurentSeries.monomial(q, 2, 1, n),), (LaurentSeries.monomial(q, 3, 1, n),))
+    curves = {
+        "cusp": SingularPoint("p", (q,), "explicit", (1,), gens),
+        "tacnode": tacnode_point("p", q, Place("C0", 1), n),
+    }
+    for name, sp in curves.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config_to_json(CurveConfig(["C0"], [sp], n))))
+        code, out, _ = run_cli(["analyze", str(path)], timeout=20)
+        assert code == 0
+        assert f"truncation: {n}\nlattice rank: {int(name == 'tacnode')}\nlie dimension: 1\n" in out

@@ -1,9 +1,13 @@
+from collections import Counter
 import json
 from fractions import Fraction as F
+import random
 
 import pytest
 
+from albx import curve
 from albx.curve import (
+    MAX_TRUNCATION,
     CurveConfig,
     Divisor,
     SingularPoint,
@@ -14,7 +18,9 @@ from albx.curve import (
     validate,
 )
 from albx.errors import InputError, ValidationError
+from albx.fixtures import tacnode_point
 from albx.funcfield import INF, LaurentSeries, Place
+from oracles import closure_verdict_reference, dense_rows
 
 
 def place(c):
@@ -152,7 +158,7 @@ def test_json_roundtrip(tacnode):
         sp.conductors for sp in tacnode.singular_points
     ]
     # same spans, hence identical kernels downstream
-    assert back.mhat_span("p").rows() == tacnode.mhat_span("p").rows()
+    assert dense_rows(back.mhat_span("p")) == dense_rows(tacnode.mhat_span("p"))
 
 
 def test_json_schema_shape(node):
@@ -176,3 +182,78 @@ def test_json_bad_input():
                 "singular_points": [{"name": "p", "branches": [], "kind": "weird"}],
             }
         )
+
+
+# --- the window lemma -----------------------------------------------------------------
+
+
+def _random_explicit_point(rng):
+    """1-3 branches, conductors 0-3, N <= 14, one to three random generators
+    of order 1-4 with one to three terms, and at times the powers past
+    some conductors."""
+    r = rng.randint(1, 3)
+    branches = tuple(place(c) for c in rng.sample([0, 1, 2, INF], r))
+    conductors = tuple(rng.randint(0, 3) for _ in range(r))
+    n = rng.randint(max(conductors) + 2, 14)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        lead = rng.randint(1, min(4, n))
+        tup = [
+            None if k and rng.random() < 0.3 else LaurentSeries(
+                q, n, {e: rng.choice((-2, -1, 1, 2)) for e in range(lead, lead + rng.randint(1, 3))}
+            )
+            for k, q in enumerate(branches)
+        ]
+        gens.append(tuple(tup))
+    for i, q in enumerate(branches):
+        if rng.random() < 0.6:
+            low = conductors[i] + rng.randint(0, 1)
+            for e in range(max(low, 1), 2 * conductors[i] + rng.randint(1, 2)):
+                tup = [None] * r
+                tup[i] = LaurentSeries.monomial(q, e, rng.choice((1, 1, -3)), n)
+                gens.append(tuple(tup))
+    return SingularPoint("p", branches, "explicit", conductors, gens), n
+
+
+def test_window_closure_matches_full_closure():
+    # validate closes each point through 2c + 1 only; the closure through N,
+    # probed at every power, must give the same verdict, the same reduced
+    # rows and the same error text
+    rng = random.Random(2019)
+    verdicts = Counter()
+    for _ in range(2000):
+        sp, n = _random_explicit_point(rng)
+        cfg = CurveConfig(["C0"], [sp], n)
+        expected = closure_verdict_reference(cfg.singular_points[0], n)
+        try:
+            got = dense_rows(validate(cfg).mhat_span("p"))
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == expected, (sp.conductors, n, [g for g in sp.generators])
+        verdicts[isinstance(got, str)] += 1
+    assert verdicts[False] > 300 and verdicts[True] > 300, verdicts
+
+
+def _explicit_at(kind, n):
+    q1, q2 = place(0), place(1)
+    if kind == "tacnode":
+        return CurveConfig(["C0"], [tacnode_point("p", q1, q2, n)], n)
+    gens = ((mono(0, 2, n),), (mono(0, 3, n),))
+    return CurveConfig(["C0"], [SingularPoint("p", (q1,), "explicit", (1,), gens)], n)
+
+
+def test_validate_cost_does_not_grow_with_truncation(monkeypatch):
+    # at N = MAX_TRUNCATION the cusp and the tacnode (conductors 1) are
+    # closed through 2c + 1 = 3 only
+    seen = []
+    closure = curve._closure_span
+
+    def counted(sp, generators, truncation):
+        seen.append(truncation)
+        return closure(sp, generators, truncation)
+
+    monkeypatch.setattr(curve, "_closure_span", counted)
+    for kind in ("cusp", "tacnode"):
+        cfg = validate(_explicit_at(kind, MAX_TRUNCATION))
+        assert cfg.mhat_span("p").rank == len(cfg.singular_points[0].branches) * MAX_TRUNCATION - 1
+    assert seen == [3, 3]

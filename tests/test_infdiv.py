@@ -8,13 +8,19 @@ own elimination routines.
 
 import itertools
 from fractions import Fraction as F
+import random
 
 import pytest
 import sympy
 
-from oracles import as_primitive_int, integer_combination, oracle_formal_group
+from oracles import (
+    as_primitive_int,
+    etale_kernel_reference,
+    integer_combination,
+    oracle_formal_group,
+)
 
-from albx.curve import Divisor
+from albx.curve import CurveConfig, Divisor, SingularPoint, validate
 from albx.errors import InputError, InsufficientTruncationError
 from albx.funcfield import INF, LaurentSeries, Place
 from albx.infdiv import (
@@ -192,3 +198,33 @@ def test_unvalidated_config_rejected():
 
     with pytest.raises(ValidationError):
         etale_kernel(cfg)
+
+
+def _random_dual_graph(rng):
+    """1-6 lines and 1-6 ordinary points of 2-5 branches each, on distinct
+    places drawn from 0..9 and infinity of random lines."""
+    comps = [f"C{k}" for k in range(rng.randint(1, 6))]
+    free = [Place(c, x) for c in comps for x in [*range(10), INF]]
+    rng.shuffle(free)
+    points = []
+    for k in range(rng.randint(1, 6)):
+        r = rng.randint(2, 5)
+        if len(free) < r:
+            break
+        branches, free = free[:r], free[r:]
+        points.append(SingularPoint(f"p{k}", branches))
+    return validate(CurveConfig(comps, points, 2))
+
+
+def test_etale_kernel_matches_integer_kernel():
+    # the fundamental cycles in Hermite form are the Hermite form of the
+    # integer kernel of the degree and fiber rows
+    rng = random.Random(1919)
+    vectors = cyclic = 0
+    for _ in range(2000):
+        cfg = _random_dual_graph(rng)
+        got = etale_kernel(cfg)
+        assert got == etale_kernel_reference(cfg), cfg
+        vectors += len(got)
+        cyclic += bool(got)
+    assert vectors > 10000 and cyclic > 1800

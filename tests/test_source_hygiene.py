@@ -12,7 +12,8 @@ are exempt from the parameter check, since the protocol fixes their
 signatures.  Only curve.py reads a singular point's kind: every other
 module reads the conductors and spans that validate derives from it.
 Only arith.py names factorint: nothing else in the package factors an
-integer.
+integer.  Only linalg.py reads a _rows attribute: every other module
+reads a RowSpan through sparse_rows, contains and rank.
 """
 
 import ast
@@ -183,5 +184,16 @@ def test_only_arith_names_factorint():
         name
         for name, tree in parsed_modules().items()
         if name != "arith.py" and references(tree)["factorint"]
+    ]
+    assert not found, found
+
+
+def test_only_linalg_reads_rows():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules().items()
+        if name != "linalg.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_rows"
     ]
     assert not found, found

@@ -1,6 +1,6 @@
 import pytest
 
-from albx.curve import CurveConfig, SingularPoint
+from albx.curve import CurveConfig, Divisor, SingularPoint
 from albx.fixtures import cusp, line_chain
 from albx.funcfield import LaurentSeries, Place
 from albx.infdiv import FormalGroupData, divisor_group
@@ -90,8 +90,12 @@ def test_genus_check_fails_on_a_dropped_basis_vector(whole_zoo):
         if g.rank:
             short = FormalGroupData(g.etale_basis[:-1], g.lie_basis)
             assert "lattice rank" in genus_defect(cfg, short), name
-            dropped += 1
-    assert dropped == 6  # cusp and tacnode Lie parts, four lattices
+            # one flipped sign keeps the rank but leaves the lattice
+            (q, m), *rest = g.etale_basis[0].items()
+            flipped = FormalGroupData((Divisor([(q, -m), *rest]), *g.etale_basis[1:]), g.lie_basis)
+            assert "not killed by the degree and fiber rows" in genus_defect(cfg, flipped), name
+            dropped += 2
+    assert dropped == 10  # cusp and tacnode Lie parts, four lattices twice
 
 
 def test_genus_formula_on_chains_and_cycles():
