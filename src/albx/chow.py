@@ -15,16 +15,17 @@ A Cartier unit is a dict of rational functions, one per component,
 whose branch expansions at every singular point share one nonzero
 constant term and whose centered jets lie in the span of the point's
 ideal generators; certify_cartier checks exactly this.  validate proves
-that the span holds u^e on branch q for every e past q's conductor c_q,
-so each branch is expanded through c_q and no further: the jets past it
-cannot change the verdict.  An ordinary point has c_q = 0 on every
-branch, so there the unit is certified by its branch values alone.
+that the ideal holds u^e on branch q for every e past q's conductor c_q
+and keeps it modulo the conductor, so each branch is expanded through
+c_q and no further: the jets past it cannot change the verdict.  An
+ordinary point has c_q = 0 on every branch, so there the unit is
+certified by its branch values alone.
 """
 
 from fractions import Fraction
 
 from .arith import format_rat
-from .curve import Divisor, degree_per_component, series_tuple_vector, validate
+from .curve import Divisor, degree_per_component, jet_column, validate
 from .errors import DegreeError, InputError, NotCartierError
 from .funcfield import (
     Place,
@@ -112,9 +113,14 @@ def certify_cartier(funcs, config):
                 f"branch values at {sp.name} disagree: "
                 + ", ".join(format_rat(v) for v in values)
             )
-        # the jets u^1..u^N, which centering at the value leaves alone
-        vec = series_tuple_vector(sp, config.truncation, expansions)
-        if not config.mhat_span(sp.name).contains(vec):
+        # the jets u^1..u^(c_q), which centering at the value leaves alone
+        span = config.mhat_span(sp.name)
+        vec = [0] * span.ncols
+        for i, series in enumerate(expansions):
+            for e, x in series.coeffs.items():
+                if e:
+                    vec[jet_column(sp, i, e)] = x
+        if not span.contains(vec):
             raise NotCartierError(
                 f"centered jets at {sp.name} are not in the local ring (mod truncation)"
             )

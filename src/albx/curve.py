@@ -4,35 +4,36 @@ A configuration lists the projective-line components of the
 normalization together with the singular points of the curve downstairs.
 Each singular point names its fiber of branch places and certifies the
 complete local ring by a finite set of generators of its maximal ideal,
-written inside the product of the branch-local power series rings and
-stored through the working truncation order.  Ordinary (seminormal)
-points need no explicit data.
+written inside the product of the branch-local power series rings.
+Ordinary (seminormal) points need no explicit data.
 
 validate() is the gatekeeper: at explicit points it checks the
 conductor condition (on each branch, u^e lies in the ideal generated by
-the declared generators for every e above the branch's conductor) by
-exact linear algebra, and it attaches the span, which downstream kernel
-and membership computations reuse.  An ordinary point's maximal ideal
-holds every u^k on every branch, so its span is written down, and its
-conductor is 0.
+the declared generators for every e above the branch's conductor c_q)
+by exact linear algebra.  It then keeps each point's ring modulo its
+conductor, as the receptor is built (Serre, Algebraic Groups and Class
+Fields, ch. III-IV): the image of the maximal ideal m_p in the jets
+u^1..u^(c_q) on the branches q of p, a reduced span on sum c_q columns
+that jet_column lays out.  Every higher jet lies in m_p, so downstream
+kernel and membership computations read only these columns, and none of
+them costs the truncation order N.  An ordinary point's conductors are
+0 and its span is empty.
 
-The check costs the conductors, not the truncation order N (Serre,
-Algebraic Groups and Class Fields, ch. IV, on the conductor).  Window
-lemma: let c be a point's largest conductor.  If the closure through
-2c + 1 holds u^e on branch i for c_i < e <= 2c + 1, on every branch,
-then the closure through N holds u^e on branch i for every e > c_i.
-Truncation is a ring map, so the closure through N maps onto the closure
-through 2c + 1; hence for K = 2c + 2 each such u^e with e < K agrees
-with an element of the closure through N up to terms of order K and
-above.  If that holds for some K <= N, the elements matching
+The check costs the conductors, not N (Serre, ch. IV, on the
+conductor).  Window lemma: let c be a point's largest conductor.  If the
+closure through 2c + 1 holds u^e on branch i for c_i < e <= 2c + 1, on
+every branch, then the closure through N holds u^e on branch i for every
+e > c_i.  Truncation is a ring map, so the closure through N maps onto
+the closure through 2c + 1; hence for K = 2c + 2 each such u^e with
+e < K agrees with an element of the closure through N up to terms of
+order K and above.  If that holds for some K <= N, the elements matching
 u^(c_i + 1) and u^(K - c_i - 1) (both exponents lie between c_i and K,
 since K >= 2c_i + 2) multiply to an element of the closure that matches
 u^K on branch i up to order K + 1.  Subtracting such products removes
 the order-K error of every earlier match, so it holds for K + 1, and at
-K = N + 1 every match is exact.  So the span through N is the span
-through 2c + 1 with the unit vector of every u^e, e > 2c + 1, added
-(RowSpan.lifted), and its reduced form is the closure's through N, row
-for row.
+K = N + 1 every match is exact.  So the closure through N is the closure
+through 2c + 1 with the unit vector of every u^e, e > 2c + 1, added, and
+both have the same image on the conductor columns.
 """
 
 from fractions import Fraction
@@ -194,7 +195,8 @@ class CurveConfig:
         return {q for sp in self.singular_points for q in sp.branches}
 
     def mhat_span(self, name):
-        """Reduced span of the maximal-ideal generators at a singular point."""
+        """The image of a singular point's maximal ideal in its ring modulo
+        the conductor: a reduced span on the jet_column layout."""
         if not self.validated:
             raise ValidationError("configuration not validated")
         return self._spans[name]
@@ -217,6 +219,12 @@ def series_tuple_vector(sp, truncation, tup):
             if 1 <= e <= n:
                 vec[i * n + (e - 1)] = c
     return vec
+
+
+def jet_column(sp, i, e):
+    """Column of u^e on branch i, 1 <= e <= c_i, in a validated point's
+    span: the branches' conductor blocks side by side."""
+    return sum(sp.conductors[:i]) + e - 1
 
 
 def _tuple_product(a, b):
@@ -277,17 +285,18 @@ def _conductor_gap(sp, span, truncation):
 def validate(config):
     """Check all configuration invariants; returns the checked config.
 
-    For ordinary points, conductors (all zero) and the full span are
+    For ordinary points, conductors (all zero) and the empty span are
     filled in.  For explicit points the conductor condition is verified
     by linear algebra on coefficient vectors through M = min(N, 2c + 1),
     c the point's largest conductor.  Window lemma (Serre, Algebraic
     Groups and Class Fields, ch. IV; proof in the module docstring): if
     the closure through 2c + 1 holds u^e on each branch i for
     c_i < e <= 2c + 1, the closure through N holds it for every e > c_i.
-    So the span through N is the closure through M with every u^e,
-    e > M, added.  Only when a probe fails, which takes invalid input,
-    is the closure through N formed, so that the error names the first
-    (branch, power) that the condition through N misses.
+    The point keeps the closure's rows cut to the columns e <= c_i: its
+    maximal ideal modulo the conductor.  Only when a probe fails, which
+    takes invalid input, is the closure through N formed, so that the
+    error names the first (branch, power) that the condition through N
+    misses.
     """
     if config.validated:
         return config
@@ -364,11 +373,9 @@ def validate(config):
 
     spans = {}
     for sp in new_points:
-        r = len(sp.branches)
+        mod_conductor = RowSpan(sum(sp.conductors))
+        spans[sp.name] = mod_conductor
         if sp.kind == "ordinary":
-            # the maximal ideal holds every u^k on every branch: the lift
-            # of the zero ring's span through truncation 0
-            spans[sp.name] = RowSpan(0).lifted(r, n)
             continue
         window = min(n, 2 * max(sp.conductors) + 1)
         span = _closure_span(sp, sp.generators, window)
@@ -380,7 +387,15 @@ def validate(config):
                 f"{sp.name}: conductor condition fails at branch {sp.branches[i]!r}, "
                 f"u^{e} not generated"
             )
-        spans[sp.name] = span.lifted(r, n)
+        # every u^e past c_i is in span, so its reduced rows are those
+        # units and the rows on the conductor columns, kept here
+        for _, row in span.sparse_rows():
+            vec = [0] * mod_conductor.ncols
+            for col, x in row.items():
+                i, e = divmod(col, window)
+                if e < sp.conductors[i]:
+                    vec[jet_column(sp, i, e + 1)] = x
+            mod_conductor.add(vec)
 
     return CurveConfig(config.components, new_points, n, validated=True, spans=spans)
 

@@ -14,8 +14,8 @@ The formal group attached to a configuration is cut out by two kernels:
     spanning forest and put in Hermite form;
   * Lie part: principal parts with pole order at most the conductor at
     each branch, annihilating every element of the maximal ideal of the
-    curve downstairs (a homogeneous rational system on the conductor
-    columns of the ideal's reduced span).
+    curve downstairs (a homogeneous rational system on the ideal's
+    reduced span modulo the conductor).
 
 Both systems are finite thanks to the conductor bound; poles above the
 conductor are excluded a priori, not tested.  Neither costs the
@@ -25,7 +25,7 @@ Lie system has one column per pole order up to the conductor.
 
 from fractions import Fraction
 
-from .curve import Divisor
+from .curve import Divisor, jet_column
 from .errors import InputError, ValidationError
 from .funcfield import LaurentSeries, Place
 from .linalg import hnf_rows, rational_kernel_basis
@@ -199,28 +199,21 @@ def etale_kernel(config):
 def lie_kernel(config):
     """Basis of principal-part families annihilating every singular point ideal.
 
-    The search space at a branch q is the pole orders 1..n_q (conductor
+    The search space at a branch q is the pole orders 1..c_q (conductor
     bound); the constraints are the residue pairings against the rows of
-    the reduced span of the maximal ideal, which only read the span's
-    conductor columns, so each row contributes its entries there and
-    rows with none drop out.  The system is block diagonal over the
-    singular points.
+    the maximal ideal's span modulo the conductor, whose columns are
+    exactly the jets u^j these pole orders pair with.  The system is
+    block diagonal over the singular points.
     """
     _require_validated(config)
-    n = config.truncation
     out = []
     for sp in config.singular_points:
-        cols = []  # (branch index, pole order), pole order descending
-        for i, q in enumerate(sp.branches):
-            for j in range(sp.conductors[i], 0, -1):
-                cols.append((i, j))
-        if not cols:
-            continue
-        rows = []
-        for _, mvec in config.mhat_span(sp.name).sparse_rows():
-            row = [j * mvec.get(i * n + j - 1, 0) for i, j in cols]
-            if any(row):
-                rows.append(row)
+        # (branch index, pole order), pole order descending
+        cols = [(i, j) for i, c in enumerate(sp.conductors) for j in range(c, 0, -1)]
+        rows = [
+            [j * mvec.get(jet_column(sp, i, j), 0) for i, j in cols]
+            for _, mvec in config.mhat_span(sp.name).sparse_rows()
+        ]
         for vec in rational_kernel_basis(rows, len(cols)):
             parts = {}
             for (i, j), a in zip(cols, vec):

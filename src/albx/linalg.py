@@ -1,8 +1,7 @@
 """Exact linear algebra over the rationals and the integers.
 
 There is one rational elimination (RowSpan, a sparse reduced row
-echelon form maintained incrementally, which RowSpan.lifted carries to
-wider column blocks without eliminating) and one integer elimination
+echelon form maintained incrementally) and one integer elimination
 (hnf_rows, the row Hermite normal form).  Rational kernels are read off
 the reduced row space; integer (lattice) kernels come from Hermite
 reduction of [A^T | I].  All bases are canonicalized (Hermite form,
@@ -70,25 +69,6 @@ class RowSpan:
     def __init__(self, ncols):
         self.ncols = ncols
         self._rows = {}  # pivot column -> sparse row
-
-    def lifted(self, blocks, width):
-        """The preimage of this span under truncating each of blocks column
-        blocks from width columns to its own ncols // blocks.
-
-        Its rows move to the wider blocks, and every new column brings its
-        unit vector.  Moving columns keeps their order, and no moved row
-        meets a new column, so the result is reduced as it stands.
-        """
-        old = self.ncols // blocks
-        span = RowSpan(blocks * width)
-        for p, row in self._rows.items():
-            span._rows[p // old * width + p % old] = {
-                c // old * width + c % old: x for c, x in row.items()
-            }
-        for c in range(blocks * width):
-            if c % width >= old:
-                span._rows[c] = {c: Fraction(1)}
-        return span
 
     @property
     def rank(self):

@@ -90,8 +90,10 @@ def suite_series(trials, seed):
         g = random_split_ratfunc(rng)
         p = Place("C0", Fraction(rng.randint(6, 12)))
         a, b = expand_at(f, p, 6), expand_at(g, p, 6)
-        prod = a * b
-        if prod.coeffs != expand_at(f * g, p, prod.truncation).coeffs:
+        # a * b is known through 6 plus the lower of the two orders, at
+        # most 7 (the zeros and poles are simple); the difference keeps
+        # only the exponents both sides know
+        if (a * b - expand_at(f * g, p, 7)).coeffs:
             return SuiteResult("series", False, checks, "expansion not multiplicative")
         checks += 1
     return SuiteResult("series", True, checks)
@@ -177,8 +179,9 @@ def genus_defect(config, formal):
     and Class Fields, ch. IV-V).  The lattice rank is b1 of the dual
     graph, whose vertices are the components and singular points and
     whose edges are the branches.  The Lie dimension is the sum over
-    singular points p of r_p N - rank m_p, the jets u^1..u^N on the r_p
-    branches that the maximal ideal m_p misses.  The lattice is built
+    singular points p of sum c_q - rank m_p, the jets u^1..u^(c_q) on
+    the branches q of p that the maximal ideal m_p misses modulo the
+    conductor.  The lattice is built
     from b1 fundamental cycles, so its rank alone shows little; every
     lattice vector must also have degree 0 on each component and sum to
     0 over each singular point's fiber.
@@ -190,10 +193,8 @@ def genus_defect(config, formal):
     connected = len({min(group) for group in linked.values()})
     branches = sum(len(sp.branches) for sp in config.singular_points)
     b1 = branches - len(config.singular_points) - len(config.components) + connected
-    n = config.truncation
     gaps = sum(
-        len(sp.branches) * n - config.mhat_span(sp.name).rank
-        for sp in config.singular_points
+        sum(sp.conductors) - config.mhat_span(sp.name).rank for sp in config.singular_points
     )
     defects = []
     for d in formal.etale_basis:

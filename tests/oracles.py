@@ -31,10 +31,14 @@ closes an explicit point only through 2c + 1, and etale_kernel_reference
 (the integer kernel of the degree and fiber rows) is the reference for
 the fundamental cycles of infdiv.etale_kernel.
 certify_cartier_reference expands every branch through the truncation
-and tests the centered jets against the maximal ideal at every point,
-ordinary ones included: the reference for chow.certify_cartier, which
-reads each branch only through its conductor.  is_cartier_unit is
-chow.certify_cartier as a predicate, for the tests.
+and tests the centered jets against the maximal ideal through the
+truncation at every point, ordinary ones included, closed by its own
+call of the package's closure: the reference for chow.certify_cartier,
+which reads each branch only through its conductor, against the span
+that validate keeps modulo the conductor.  lift_to_truncation carries
+that span back to the truncation order, for the tests written against
+the span through N.  is_cartier_unit is chow.certify_cartier as a
+predicate, for the tests.
 """
 
 from fractions import Fraction as F
@@ -47,7 +51,7 @@ from albx.chow import certify_cartier
 from albx.curve import Divisor, _closure_span, series_tuple_vector, validate
 from albx.errors import NotCartierError, UndefinedValuationError
 from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor
-from albx.linalg import integer_kernel_basis
+from albx.linalg import RowSpan, integer_kernel_basis
 from albx.symbols import residue_symbol, tame_symbol
 
 
@@ -615,6 +619,36 @@ def l1_sweep_reference(basis):
     return basis
 
 
+def span_through(sp, n):
+    """A validated point's maximal ideal through n, closed anew: the
+    package's closure of the generators at an explicit point, every unit
+    vector at an ordinary one."""
+    if sp.kind == "explicit":
+        return _closure_span(sp, sp.generators, n)
+    span = RowSpan(len(sp.branches) * n)
+    for c in range(span.ncols):
+        span.add([int(k == c) for k in range(span.ncols)])
+    return span
+
+
+def lift_to_truncation(span, sp, n):
+    """The span through n that a point's span modulo the conductor stands
+    for: its rows moved to column i*n + e - 1 for u^e on branch i, with
+    the unit vector of every u^e, c_i < e <= n, added."""
+    cols = [(i, e) for i, c in enumerate(sp.conductors) for e in range(1, c + 1)]
+    lifted = RowSpan(len(sp.branches) * n)
+    for _, row in span.sparse_rows():
+        vec = [0] * lifted.ncols
+        for col, x in row.items():
+            i, e = cols[col]
+            vec[i * n + e - 1] = x
+        lifted.add(vec)
+    for i, c in enumerate(sp.conductors):
+        for e in range(c + 1, n + 1):
+            lifted.add([int(k == i * n + e - 1) for k in range(lifted.ncols)])
+    return lifted
+
+
 def certify_cartier_reference(funcs, config):
     """The unit certificate through the truncation at every singular point:
     no zero or pole at a branch, equal values, and centered jets in the
@@ -646,7 +680,7 @@ def certify_cartier_reference(funcs, config):
             )
         centered = tuple(s - value for s in expansions)
         vec = series_tuple_vector(sp, n, centered)
-        if not config.mhat_span(sp.name).contains(vec):
+        if not span_through(sp, n).contains(vec):
             raise NotCartierError(
                 f"centered jets at {sp.name} are not in the local ring (mod truncation)"
             )

@@ -754,3 +754,17 @@ def test_analyze_at_the_truncation_limit(tmp_path):
         code, out, _ = run_cli(["analyze", str(path)], timeout=20)
         assert code == 0
         assert f"truncation: {n}\nlattice rank: {int(name == 'tacnode')}\nlie dimension: 1\n" in out
+
+
+def test_chow_does_not_read_the_truncation(tmp_path, capsys):
+    # a point keeps its ring modulo the conductor, so raising N changes
+    # nothing that chow prints
+    outs = []
+    for n in (3, MAX_TRUNCATION):
+        sp = tacnode_point("p", Place("C0", 0), Place("C0", 1), n)
+        path = tmp_path / f"tacnode{n}.json"
+        path.write_text(json.dumps(config_to_json(CurveConfig(["C0"], [sp], n))))
+        assert main(["chow", str(path), "--cycle", "C0:5=+1,C0:7=-1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "equivalent: false" in outs[0]

@@ -20,7 +20,7 @@ from albx.curve import (
 from albx.errors import InputError, ValidationError
 from albx.fixtures import tacnode_point
 from albx.funcfield import INF, LaurentSeries, Place
-from oracles import closure_verdict_reference, dense_rows
+from oracles import closure_verdict_reference, dense_rows, lift_to_truncation
 
 
 def place(c):
@@ -40,7 +40,9 @@ def test_node_is_seminormal(node):
     assert sp.conductors == (0, 0)
     assert sp.generators is None  # the ideal is u on each branch, written down as a span
     span = node.mhat_span("p")
-    assert span.rank == 2 * node.truncation  # the full branchwise sum
+    assert span.ncols == 0  # nothing is left modulo the conductor
+    # the full branchwise sum
+    assert lift_to_truncation(span, sp, node.truncation).rank == 2 * node.truncation
 
 
 def test_cusp_valid(cusp):
@@ -109,7 +111,7 @@ def test_modulus_node():
     sp = cfg.singular_points[0]
     assert sp.conductors == (0, 0)
     # seminormal: the full branchwise sum of maximal ideals
-    assert cfg.mhat_span("p").rank == 2 * cfg.truncation
+    assert lift_to_truncation(cfg.mhat_span("p"), sp, cfg.truncation).rank == 2 * cfg.truncation
 
 
 def test_modulus_cusp():
@@ -117,7 +119,7 @@ def test_modulus_cusp():
     sp = cfg.singular_points[0]
     assert sp.conductors == (1,)
     assert cfg.truncation == 3
-    span = cfg.mhat_span("p")
+    span = lift_to_truncation(cfg.mhat_span("p"), sp, 3)
     assert not span.contains([1, 0, 0])  # u^1 is not a curve function
     assert span.contains([0, 1, 0]) and span.contains([0, 0, 1])
 
@@ -226,7 +228,7 @@ def test_window_closure_matches_full_closure():
         cfg = CurveConfig(["C0"], [sp], n)
         expected = closure_verdict_reference(cfg.singular_points[0], n)
         try:
-            got = dense_rows(validate(cfg).mhat_span("p"))
+            got = dense_rows(lift_to_truncation(validate(cfg).mhat_span("p"), sp, n))
         except ValidationError as exc:
             got = str(exc)
         assert got == expected, (sp.conductors, n, [g for g in sp.generators])
@@ -255,5 +257,41 @@ def test_validate_cost_does_not_grow_with_truncation(monkeypatch):
     monkeypatch.setattr(curve, "_closure_span", counted)
     for kind in ("cusp", "tacnode"):
         cfg = validate(_explicit_at(kind, MAX_TRUNCATION))
-        assert cfg.mhat_span("p").rank == len(cfg.singular_points[0].branches) * MAX_TRUNCATION - 1
+        sp = cfg.singular_points[0]
+        span = lift_to_truncation(cfg.mhat_span("p"), sp, MAX_TRUNCATION)
+        assert span.rank == len(sp.branches) * MAX_TRUNCATION - 1
     assert seen == [3, 3]
+
+
+def _modulus_at(points, n):
+    """curve_from_modulus(points) with its generators u^(c+1)..u^(2c+1)
+    stored through n: at its own truncation c + 2 the higher ones vanish."""
+    cfg = curve_from_modulus(points)
+    sp = cfg.singular_points[0]
+    gens = []
+    for i, (q, c) in enumerate(zip(sp.branches, sp.conductors)):
+        for e in range(c + 1, 2 * c + 2):
+            tup = [None] * len(sp.branches)
+            tup[i] = LaurentSeries.monomial(q, e, 1, n)
+            gens.append(tuple(tup))
+    point = SingularPoint("p", sp.branches, "explicit", sp.conductors, gens)
+    return CurveConfig(cfg.components, [point], n)
+
+
+def test_stored_span_does_not_depend_on_truncation():
+    # the span modulo the conductor is the same at N = c + 2 and at
+    # N = MAX_TRUNCATION: sum c_q columns wide, row for row
+    rng = random.Random(2020)
+    pairs = [
+        (_explicit_at(kind, 3), _explicit_at(kind, MAX_TRUNCATION)) for kind in ("cusp", "tacnode")
+    ]
+    for _ in range(20):
+        coords = rng.sample([0, 1, 2, 5, INF], rng.randint(1, 4))
+        points = [(place(a), rng.randint(1, 4)) for a in coords]
+        low = max(m for _, m in points) + 1
+        pairs.append((_modulus_at(points, low), _modulus_at(points, MAX_TRUNCATION)))
+    for low, high in pairs:
+        low, high = validate(low), validate(high)
+        width = sum(low.singular_points[0].conductors)
+        assert low.mhat_span("p").ncols == high.mhat_span("p").ncols == width
+        assert dense_rows(high.mhat_span("p")) == dense_rows(low.mhat_span("p")), low

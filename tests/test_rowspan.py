@@ -16,6 +16,7 @@ from oracles import (
     DenseRowSpan,
     dense_closure_rows,
     dense_rows,
+    lift_to_truncation,
     rational_kernel_basis_reference,
 )
 
@@ -135,4 +136,5 @@ def test_mhat_span_matches_dense_closure():
     for cfg in checked:
         for sp in cfg.singular_points:
             expected = dense_closure_rows(sp, cfg.truncation)
-            assert dense_rows(cfg.mhat_span(sp.name)) == expected, (cfg, sp.name)
+            lifted = lift_to_truncation(cfg.mhat_span(sp.name), sp, cfg.truncation)
+            assert dense_rows(lifted) == expected, (cfg, sp.name)

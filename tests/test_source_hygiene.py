@@ -13,7 +13,12 @@ signatures.  Only curve.py reads a singular point's kind: every other
 module reads the conductors and spans that validate derives from it.
 Only arith.py names factorint: nothing else in the package factors an
 integer.  Only linalg.py reads a _rows attribute: every other module
-reads a RowSpan through sparse_rows, contains and rank.
+reads a RowSpan through sparse_rows, contains and rank.  A singular
+point keeps its ring modulo the conductor, so chow.py, infdiv.py and
+verify.py never read a truncation, and only curve.py lays out jet
+columns: series_tuple_vector (the layout through N) is curve.py's own,
+and jet_column (the conductor columns) is called elsewhere only by
+chow.certify_cartier and infdiv.lie_kernel.
 """
 
 import ast
@@ -196,4 +201,35 @@ def test_only_linalg_reads_rows():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "_rows"
     ]
+    assert not found, found
+
+
+def test_no_truncation_past_curve():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules().items()
+        if name in ("chow.py", "infdiv.py", "verify.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "truncation"
+    ]
+    assert not found, found
+
+
+def test_only_curve_lays_out_jet_columns():
+    callers = {"chow.py": "certify_cartier", "infdiv.py": "lie_kernel"}
+    found = []
+    for name, tree in parsed_modules().items():
+        if name == "curve.py":
+            continue
+        if references(tree)["series_tuple_vector"]:
+            found.append(f"{name} series_tuple_vector")
+        # the import, and the calls in the one function allowed to make them
+        allowed = sum(
+            references(node)["jet_column"]
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom)
+            or isinstance(node, ast.FunctionDef) and node.name == callers.get(name)
+        )
+        if references(tree)["jet_column"] > allowed:
+            found.append(f"{name} jet_column")
     assert not found, found
