@@ -122,7 +122,7 @@ def certify_cartier(funcs, config):
                     vec[jet_column(sp, i, e)] = x
         if not span.contains(vec):
             raise NotCartierError(
-                f"centered jets at {sp.name} are not in the local ring (mod truncation)"
+                f"centered jets at {sp.name} are not in the local ring (mod conductor)"
             )
 
 
@@ -242,7 +242,10 @@ def albanese_pairing(funcs, alb):
 
 
 def _lie_coordinates(funcs, lie_basis):
-    """Sum of Res_q(delta_q dlog f) for each Lie basis element delta."""
+    """Sum of Res_q(delta_q dlog f) for each Lie basis element delta.  Each
+    function read is multiplied out once, here, for all its dlogs."""
+    read = {q.component for delta in lie_basis for q in delta.places()}
+    funcs = {comp: funcs[comp].dense() for comp in read}
     vectorial = []
     for delta in lie_basis:
         total = Fraction(0)

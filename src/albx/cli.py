@@ -16,7 +16,7 @@ coordinates, and arith.format_rat prints no rational past MAX_HEIGHT bits.
 """
 
 import argparse
-import json
+from json.encoder import encode_basestring_ascii
 import sys
 
 from .arith import MAX_HEIGHT, common_denominator, format_rat, parse_int
@@ -179,10 +179,60 @@ def parse_expression(text, component="C0"):
 # --- subcommands ------------------------------------------------------------
 
 
-def _emit(payload, fmt, lines):
-    if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return "\n".join(lines) + "\n"
+def _json_parts(value, out, indent):
+    """Append the pieces of json.dumps(value, sort_keys=True, indent=2) to
+    out.  The payloads hold only dict (str keys), list, tuple, str, int,
+    bool and None, and json.dumps with an indent runs its pure-Python
+    encoder, so this writer runs instead.  A str item, the common leaf,
+    is written in place rather than by a call."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (dict, list, tuple)):
+        if not value:
+            out.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = indent + "  "
+        sep = "\n" + inner
+        if isinstance(value, dict):
+            if not all(isinstance(k, str) for k in value):
+                raise TypeError("JSON object keys must be str")
+            out.append("{")
+            for key in sorted(value):
+                item = value[key]
+                head = f"{sep}{encode_basestring_ascii(key)}: "
+                if type(item) is str:
+                    out.append(head + encode_basestring_ascii(item))
+                else:
+                    out.append(head)
+                    _json_parts(item, out, inner)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "}")
+        else:
+            out.append("[")
+            for item in value:
+                if type(item) is str:
+                    out.append(sep + encode_basestring_ascii(item))
+                else:
+                    out.append(sep)
+                    _json_parts(item, out, inner)
+                sep = ",\n" + inner
+            out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_json(payload):
+    out = []
+    _json_parts(payload, out, "")
+    sys.stdout.write("".join(out) + "\n")
+
+
+def _write_lines(lines):
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_analyze(args):
@@ -190,21 +240,23 @@ def cmd_analyze(args):
     formal = divisor_group(config)
     motive = OneMotive(formal)
     dual = dualize(motive)
-    bases = formal.to_json()
-    ranks = {"torus_rank": formal.rank, "vectorial_dim": formal.dim}
-    base_points = sorted(base_points_for(config).items())
-    payload = {
-        "curve": config_to_json(config),
-        "formal_group": bases,
-        **ranks,
-        "albanese": {
-            **bases,
+    if args.format == "json":
+        bases = formal.to_json()
+        ranks = {"torus_rank": formal.rank, "vectorial_dim": formal.dim}
+        base_points = sorted(base_points_for(config).items())
+        _write_json({
+            "curve": config_to_json(config),
+            "formal_group": bases,
             **ranks,
-            "base_points": [p.to_json() for _, p in base_points],
-        },
-        "motive": repr(motive),
-        "dual_motive": repr(dual),
-    }
+            "albanese": {
+                **bases,
+                **ranks,
+                "base_points": [p.to_json() for _, p in base_points],
+            },
+            "motive": repr(motive),
+            "dual_motive": repr(dual),
+        })
+        return 0
     lines = [
         f"components: {', '.join(config.components)}",
         f"singular points: {', '.join(sp.name for sp in config.singular_points) or '(none)'}",
@@ -219,7 +271,7 @@ def cmd_analyze(args):
         lines.append(f"lattice basis: {d!r}")
     for d in formal.lie_basis:
         lines.append(f"lie basis: {d!r}")
-    sys.stdout.write(_emit(payload, args.format, lines))
+    _write_lines(lines)
     return 0
 
 
@@ -257,32 +309,34 @@ def cmd_chow(args):
     check_cycle_support(cycle, config)
     degrees = degree_per_component(cycle)
     if any(degrees.values()):
-        payload = {
-            "cycle": cycle.to_string(),
-            "degrees": degrees,
-            "equivalent": False,
-            "note": "nonzero degree",
-        }
-        lines = [f"cycle: {cycle.to_string()}", "equivalent: false (nonzero degree)"]
-        sys.stdout.write(_emit(payload, args.format, lines))
+        if args.format == "json":
+            _write_json({
+                "cycle": cycle.to_string(),
+                "degrees": degrees,
+                "equivalent": False,
+                "note": "nonzero degree",
+            })
+        else:
+            _write_lines([f"cycle: {cycle.to_string()}", "equivalent: false (nonzero degree)"])
         return 0
     alb = albanese(config)
     _check_cycle_size(cycle, alb)
     point = abel_jacobi(cycle, config, alb)
     verdict = point.is_identity()
-    payload = {
-        "cycle": cycle.to_string(),
-        "degrees": degrees,
-        "abel_jacobi": point.to_json(),
-        "equivalent": verdict,
-    }
-    lines = [
-        f"cycle: {cycle.to_string()}",
-        f"torus coordinates: [{', '.join(format_rat(x) for x in point.torus)}]",
-        f"vectorial coordinates: [{', '.join(format_rat(x) for x in point.vectorial)}]",
-        f"equivalent: {'true' if verdict else 'false'}",
-    ]
-    sys.stdout.write(_emit(payload, args.format, lines))
+    if args.format == "json":
+        _write_json({
+            "cycle": cycle.to_string(),
+            "degrees": degrees,
+            "abel_jacobi": point.to_json(),
+            "equivalent": verdict,
+        })
+    else:
+        _write_lines([
+            f"cycle: {cycle.to_string()}",
+            f"torus coordinates: [{', '.join(format_rat(x) for x in point.torus)}]",
+            f"vectorial coordinates: [{', '.join(format_rat(x) for x in point.vectorial)}]",
+            f"equivalent: {'true' if verdict else 'false'}",
+        ])
     return 0
 
 
@@ -293,31 +347,31 @@ def cmd_symbol(args):
     if args.point is not None:
         p = Place("C0", parse_coordinate(args.point))
         value = tame_symbol(psi, f, p) if tag == "gm" else residue_symbol(psi, f, p)
-        payload = {
+        if args.format == "json":
+            _write_json({
+                "tag": tag,
+                "psi": args.psi,
+                "f": args.f,
+                "point": args.point,
+                "value": format_rat(value),
+            })
+        else:
+            _write_lines([f"({args.psi}, {args.f})_{args.point} [{tag}] = {format_rat(value)}"])
+        return 0
+    values, aggregate = reciprocity_check(psi, f, tag)
+    values = sorted(values.items(), key=lambda kv: kv[0].sort_key())
+    if args.format == "json":
+        _write_json({
             "tag": tag,
             "psi": args.psi,
             "f": args.f,
-            "point": args.point,
-            "value": format_rat(value),
-        }
-        lines = [f"({args.psi}, {args.f})_{args.point} [{tag}] = {format_rat(value)}"]
-        sys.stdout.write(_emit(payload, args.format, lines))
-        return 0
-    values, aggregate = reciprocity_check(psi, f, tag)
-    payload = {
-        "tag": tag,
-        "psi": args.psi,
-        "f": args.f,
-        "values": {repr(p): format_rat(v) for p, v in sorted(values.items(), key=lambda kv: kv[0].sort_key())},
-        "aggregate": format_rat(aggregate),
-        "ok": aggregate == (1 if tag == "gm" else 0),
-    }
-    lines = [
-        f"({args.psi}, {args.f})_{p!r} [{tag}] = {format_rat(v)}"
-        for p, v in sorted(values.items(), key=lambda kv: kv[0].sort_key())
-    ]
-    lines.append(f"aggregate: {format_rat(aggregate)}")
-    sys.stdout.write(_emit(payload, args.format, lines))
+            "values": {repr(p): format_rat(v) for p, v in values},
+            "aggregate": format_rat(aggregate),
+            "ok": aggregate == (1 if tag == "gm" else 0),
+        })
+    else:
+        lines = [f"({args.psi}, {args.f})_{p!r} [{tag}] = {format_rat(v)}" for p, v in values]
+        _write_lines(lines + [f"aggregate: {format_rat(aggregate)}"])
     return 0
 
 
@@ -327,14 +381,13 @@ def cmd_verify(args):
     statuses = {r.status for r in results}
     overall = next(s for s in ("FAIL", "INCONCLUSIVE", "PASS") if s in statuses)
     if args.format == "json":
-        payload = {
+        _write_json({
             "passed": overall == "PASS",
             "status": overall,
             "trials": args.trials,
             "seed": args.seed,
             "suites": [r.to_json() for r in results],
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        })
     else:
         for r in sorted(results, key=lambda r: r.name):
             tail = f" [{r.detail}]" if r.detail else ""

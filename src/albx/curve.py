@@ -293,10 +293,13 @@ def validate(config):
     the closure through 2c + 1 holds u^e on each branch i for
     c_i < e <= 2c + 1, the closure through N holds it for every e > c_i.
     The point keeps the closure's rows cut to the columns e <= c_i: its
-    maximal ideal modulo the conductor.  Only when a probe fails, which
-    takes invalid input, is the closure through N formed, so that the
-    error names the first (branch, power) that the condition through N
-    misses.
+    maximal ideal modulo the conductor.  A failed probe, which takes
+    invalid input, names the first (branch, power) that the condition
+    through N misses.  The window's gaps are gaps through N too, so when
+    its first is u^(c_0 + 1) on the first branch, the lowest power there
+    can be, it is the answer; otherwise the closure through N is formed,
+    since a power the window holds may need terms past M (u^2 + u^5
+    with c = 1 holds u^2 through 3 but not through 10).
     """
     if config.validated:
         return config
@@ -379,10 +382,11 @@ def validate(config):
             continue
         window = min(n, 2 * max(sp.conductors) + 1)
         span = _closure_span(sp, sp.generators, window)
-        if _conductor_gap(sp, span, window):
-            if window < n:
-                span = _closure_span(sp, sp.generators, n)
-            i, e = _conductor_gap(sp, span, n)
+        gap = _conductor_gap(sp, span, window)
+        if gap:
+            if window < n and gap != (0, sp.conductors[0] + 1):
+                gap = _conductor_gap(sp, _closure_span(sp, sp.generators, n), n)
+            i, e = gap
             raise ValidationError(
                 f"{sp.name}: conductor condition fails at branch {sp.branches[i]!r}, "
                 f"u^{e} not generated"

@@ -34,11 +34,13 @@ Design choices worth knowing:
     reconstruction), so no integer is ever factored; the squarefree
     part they start from and from_factors' products run in integers,
   * a function built by from_factors is held as (scale, roots,
-    exponents), and its dense numerator and denominator are multiplied
-    out on first read and kept; is_zero, split_divisor (infinity
-    included) and _local read the factors, so valuations, values and
-    jets of a sampled unit need no dense polynomial.  A parsed or
-    computed function is dense and goes through rational_roots.
+    exponents) and nothing else: its numerator and denominator are
+    multiplied out on each read and not kept, and dense() gives the
+    multiplied-out function for a caller that reads them repeatedly;
+    is_zero, split_divisor (infinity included) and _local read the
+    factors, so valuations, values and jets of a sampled unit need no
+    dense polynomial.  A parsed or computed function is dense and goes
+    through rational_roots.
 """
 
 from fractions import Fraction
@@ -334,8 +336,10 @@ class RatFunc:
     and quotients and integer powers of a reduced ratio are reduced
     already and skip the constructor.  factors is None, except on a
     function built by from_factors: there it is (scale, roots, exponents),
-    the finite zeros and poles with their nonzero orders, and num and den
-    are multiplied out only when first read (__getattr__).
+    the finite zeros and poles with their nonzero orders, the num and den
+    slots stay unset, and each read of num or den multiplies them out
+    (__getattr__); dlog_ratfunc, __eq__ and __repr__, which read them
+    repeatedly, take dense() once.
     """
 
     __slots__ = ("num", "den", "component", "factors")
@@ -370,15 +374,19 @@ class RatFunc:
         return RatFunc.from_factors, (tuple(zip(roots, exponents)), scale, self.component)
 
     def __getattr__(self, name):
-        """num and den of a factored function, on first read; every other
-        read of a missing attribute fails as usual.  A dense function's
-        num and den are plain slots and never come here."""
+        """num or den of a factored function, multiplied out and not kept;
+        every other read of a missing attribute fails as usual.  A dense
+        function's num and den are plain slots and never come here."""
         if name not in ("num", "den") or self.factors is None:
             raise AttributeError(name)
-        num, den = _multiply_out(*self.factors)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        return num if name == "num" else den
+        return _multiply_out(*self.factors)[name == "den"]
+
+    def dense(self):
+        """The same function held as its num and den: self when dense, a
+        new dense function when factored."""
+        if self.factors is None:
+            return self
+        return RatFunc._raw(*_multiply_out(*self.factors), self.component)
 
     @classmethod
     def _raw(cls, num, den, component):
@@ -431,12 +439,10 @@ class RatFunc:
             )
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc)
-            and self.component == other.component
-            and self.num == other.num
-            and self.den == other.den
-        )
+        if not isinstance(other, RatFunc) or self.component != other.component:
+            return False
+        a, b = self.dense(), other.dense()
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         return hash((self.component, self.num, self.den))
@@ -500,9 +506,11 @@ class RatFunc:
         """f'/f as a rational function (zero for constants)."""
         if self.is_zero():
             raise UndefinedValuationError("dlog of the zero function")
+        self = self.dense()
         return self.derivative() / self
 
     def __repr__(self):
+        self = self.dense()
         if self.den.degree == 0:
             return f"({self.num!r})"
         return f"({self.num!r})/({self.den!r})"

@@ -113,9 +113,14 @@ def integer_kernel_basis(rows, ncols):
     Row-reduce [A^T | I] to Hermite normal form; rows whose left block
     vanishes carry a basis of the kernel in their right block.  Those
     rows come last and are already in Hermite form among themselves,
-    which is unique, so the result is too.
+    which is unique, so the result is too.  The rows of A are
+    eliminated smallest entries first, since a large row eliminated
+    early blows up the entries of the identity block.  The order cannot
+    change the result: the kernel lattice, and so its Hermite form, does
+    not depend on it (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4).
     """
-    rows = [list(r) for r in rows]
+    rows = sorted((list(r) for r in rows), key=lambda r: max(map(abs, r), default=0))
     m = len(rows)
     aug = []
     for i in range(ncols):

@@ -15,25 +15,27 @@ base by gcd refinement (Bernstein, J. Algorithms 54, 2005), so no
 integer is factored; a value row is the difference of two branches'
 exponents of one base element.  Each prime divides exactly one base
 element, so the prime rows would be multiples of these and have the same
-integer kernel.  The sampler computes the integer kernel of one constraint
-matrix, size reduces it, and draws random small combinations, which
-the rows alone make units: degree zero leaves f = 1 at a branch at
-infinity, q - x > 0 leaves no zero or pole at a finite branch q, the
-value rows make the values agree, and the jet rows make the centered
-jets vanish through each conductor, past which validate proves the
-ideal holds every power.  So a draw is not certified; div_C is.  A
-build tries up to three pool sizes and keeps the first with MIN_KERNEL
+integer kernel.  The sampler computes the integer kernel of the
+constraint matrix in two steps, the few-bit degree and value rows
+first and then the jet rows on that kernel's coordinates, size reduces
+it, and draws random small combinations, which the rows alone make
+units: degree zero leaves f = 1 at a branch at infinity, q - x > 0
+leaves no zero or pole at a finite branch q, the value rows make the
+values agree, and the jet rows make the centered jets vanish through
+each conductor, past which validate proves the ideal holds every
+power.  So a draw is not certified; div_C is.  A build tries up to three pool sizes and keeps the first with MIN_KERNEL
 vectors within LENGTH_BUDGET or twice that, else the best-scored one.
 """
 
 from fractions import Fraction
 import math
+import operator
 
 from .chow import ZeroCycle
 from .curve import validate
 from .errors import InputError
 from .funcfield import Place, RatFunc
-from .linalg import clear_denominators, integer_kernel_basis, lll_reduce
+from .linalg import clear_denominators, hnf_rows, integer_kernel_basis, lll_reduce
 
 
 def random_rational(rng, height=10, nonzero=False):
@@ -166,6 +168,22 @@ def _value_exponents(branches, columns):
     return [[{} if d is None else _valuations(d, base) for d in row] for row in diffs]
 
 
+def _joint_kernel(rows, jets, ncols):
+    """integer_kernel_basis(rows + jets, ncols), the small rows first.
+
+    The degree and value rows have entries of a few bits, the jet rows
+    of up to hundreds.  So K, the kernel of rows, is taken first, and Y,
+    the kernel of the jets applied to K's vectors.  The lattice Y K is
+    the joint kernel, and its Hermite form the same basis.
+    """
+    basis = integer_kernel_basis(rows, ncols)
+    if not jets or not basis:
+        return basis
+    on_basis = [[sum(map(operator.mul, jet, k)) for k in basis] for jet in jets]
+    combos = integer_kernel_basis(on_basis, len(basis))
+    return hnf_rows([[sum(map(operator.mul, y, col)) for col in zip(*basis)] for y in combos], ncols)
+
+
 class CartierUnitSampler:
     """Draws random Cartier units with split divisors on a fixed configuration."""
 
@@ -212,6 +230,7 @@ class CartierUnitSampler:
         spanning the ones that meet every constraint; [] if none do."""
         cfg = self.config
         rows = [[1 if c == comp else 0 for c, _ in columns] for comp in cfg.components]
+        jets = []
         for sp in cfg.singular_points:
             # jets: derivatives of log f vanish up to the conductor; at
             # infinity log(1 - x s) contributes -(j-1)! x^j at s = 0
@@ -223,7 +242,7 @@ class CartierUnitSampler:
                         else 1 / (q.coordinate - x) ** j
                         for c, x in columns
                     ]
-                    rows.append(clear_denominators(row))
+                    jets.append(clear_denominators(row))
             if len(sp.branches) < 2:
                 continue
             # values match across the fiber: for each pair (first branch,
@@ -232,7 +251,7 @@ class CartierUnitSampler:
             for other in others:
                 for b in sorted(set().union(*first, *other)):
                     rows.append([o.get(b, 0) - f.get(b, 0) for o, f in zip(other, first)])
-        basis = integer_kernel_basis(rows, len(columns))
+        basis = _joint_kernel(rows, jets, len(columns))
         basis.sort(key=_l1)
         basis = basis[:16]
         if any(_l1(b) > LENGTH_BUDGET for b in basis):

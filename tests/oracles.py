@@ -18,12 +18,16 @@ RatFunc's shortcuts past Euclid, and DenseRowSpan is the reference for
 the sparse RowSpan of linalg.  random_congruent_function and
 symbol_sum_over_divisor make the randomized certificate that the local
 modulus criterion of symbols.is_modulus is tested against.
+integer_kernel_reference (one Hermite pass over [A^T | I] with A's rows
+in the order given, through linalg.hnf_rows) is the reference for
+linalg.integer_kernel_basis, which eliminates the small rows first, and
+for the sampler's kernel of its small rows and then its jet rows.
 lll_reduce_reference (LLL over Fraction Gram-Schmidt data) and
 l1_sweep_reference (the unpruned sweep) are the reference path for
 linalg.lll_reduce and the sampler's kernel basis.
 from_factors_reference (the eager integer products) is the reference for
 the dense numerator and denominator that RatFunc.from_factors multiplies
-out on first read, and, as a dense function, for the local form that
+out on each read, and, as a dense function, for the local form that
 funcfield reads off a factored function.
 closure_verdict_reference (the closure through the truncation order,
 probed at every power) is the reference for curve.validate, which
@@ -51,7 +55,7 @@ from albx.chow import certify_cartier
 from albx.curve import Divisor, _closure_span, series_tuple_vector, validate
 from albx.errors import NotCartierError, UndefinedValuationError
 from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor
-from albx.linalg import RowSpan, integer_kernel_basis
+from albx.linalg import RowSpan, hnf_rows, integer_kernel_basis
 from albx.symbols import residue_symbol, tame_symbol
 
 
@@ -468,6 +472,14 @@ def closure_verdict_reference(sp, truncation):
     return dense_rows(span)
 
 
+def integer_kernel_reference(rows, ncols):
+    """Hermite basis of {x in Z^n : A x = 0}: [A^T | I] reduced in one pass,
+    A's rows in the order given; the rows whose left block vanishes."""
+    m = len(rows)
+    aug = [[row[i] for row in rows] + [int(i == j) for j in range(ncols)] for i in range(ncols)]
+    return [row[m:] for row in hnf_rows(aug, m + ncols) if not any(row[:m])]
+
+
 def etale_kernel_reference(config):
     """infdiv.etale_kernel as the integer kernel of its system: one degree
     row per component and one incidence row per singular point, reduced
@@ -682,7 +694,7 @@ def certify_cartier_reference(funcs, config):
         vec = series_tuple_vector(sp, n, centered)
         if not span_through(sp, n).contains(vec):
             raise NotCartierError(
-                f"centered jets at {sp.name} are not in the local ring (mod truncation)"
+                f"centered jets at {sp.name} are not in the local ring (mod conductor)"
             )
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 from pathlib import Path
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 
 import albx
 from albx.arith import format_rat
-from albx.cli import main, parse_expression
+from albx.cli import _write_json, main, parse_expression
 from albx.curve import MAX_TRUNCATION, CurveConfig, SingularPoint, config_to_json
 from albx.errors import InputError
 from albx.fixtures import cusp, node, rfold, tacnode, tacnode_point
@@ -659,6 +660,50 @@ def test_parser_reused_across_calls(curve_files, monkeypatch):
             fresh.stdout,
             fresh.stderr,
         ), argv
+
+
+# --- JSON output -----------------------------------------------------------------------
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+_JSON_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "—", "€", "\U0001d54f", "a", "Z", "/", " ", ":"]
+
+
+def _random_json(rng, depth):
+    """A seeded payload of the types the commands print."""
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randint(0, 6)))
+    if kind == 1:
+        return rng.choice((1, -1)) * rng.getrandbits(rng.choice((1, 8, 64, 700)))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind in (3, 4):
+        return rng.choice(["", "x", "1/2", "-3/7"])
+    size = rng.randint(0, 4)
+    items = [_random_json(rng, depth + 1) for _ in range(size)]
+    if kind == 5:
+        return tuple(items)
+    if kind == 6:
+        return items
+    return {"".join(rng.choice(_JSON_CHARS) for _ in range(rng.randint(0, 3))): x for x in items}
+
+
+def test_json_writer_matches_json_dumps(capsys):
+    rng = random.Random(21)
+    seen = {"empty": 0, "nested": 0, "escaped": 0, "large int": 0}
+    for _ in range(1200):
+        payload = _random_json(rng, 0)
+        expected = json.dumps(payload, sort_keys=True, indent=2)
+        _write_json(payload)
+        assert capsys.readouterr().out == expected + "\n"
+        seen["empty"] += "[]" in expected or "{}" in expected
+        seen["nested"] += "\n      " in expected
+        seen["escaped"] += "\\" in expected
+        seen["large int"] += any(len(w) > 100 for w in expected.split())
+    assert min(seen.values()) >= 100, seen
+    for bad in (1.5, F(1, 2), {1: 2}, {"a": {3}}):
+        with pytest.raises(TypeError):
+            _write_json(bad)
 
 
 # --- verify ----------------------------------------------------------------------------

@@ -263,6 +263,33 @@ def test_validate_cost_does_not_grow_with_truncation(monkeypatch):
     assert seen == [3, 3]
 
 
+def test_validate_error_stops_at_the_window(monkeypatch):
+    # the tacnode at N = MAX_TRUNCATION with conductors [0, 0]: the window
+    # closure, through 1, misses u^1 on the first branch, the lowest power
+    # there can be, so it names the failure; u^2 + u^5 with conductor 1
+    # holds u^2 through 3 but not through 10, so there the closure through
+    # N still runs and names u^2, not the window's u^3
+    seen = []
+    closure = curve._closure_span
+
+    def counted(sp, generators, truncation):
+        seen.append(truncation)
+        return closure(sp, generators, truncation)
+
+    monkeypatch.setattr(curve, "_closure_span", counted)
+    sp = _explicit_at("tacnode", MAX_TRUNCATION).singular_points[0]
+    sp = SingularPoint("p", sp.branches, "explicit", (0, 0), sp.generators)
+    with pytest.raises(ValidationError, match="branch C0:0, u\\^1 not generated"):
+        validate(CurveConfig(["C0"], [sp], MAX_TRUNCATION))
+    assert seen == [1]
+    seen.clear()
+    g = LaurentSeries(place(0), 10, {2: 1, 5: 1})
+    sp = SingularPoint("p", (place(0),), "explicit", (1,), ((g,),))
+    with pytest.raises(ValidationError, match="branch C0:0, u\\^2 not generated"):
+        validate(CurveConfig(["C0"], [sp], 10))
+    assert seen == [3, 10]
+
+
 def _modulus_at(points, n):
     """curve_from_modulus(points) with its generators u^(c+1)..u^(2c+1)
     stored through n: at its own truncation c + 2 the higher ones vanish."""

@@ -413,7 +413,7 @@ def test_from_factors_matches_products():
         seen["scale != 1"] += scale != 1
         seen["scale = 0"] += scale == 0
         f = RatFunc.from_factors(factors, scale=scale, component="C1")
-        # num and den are multiplied out on first read, as the eager products
+        # num and den are multiplied out on each read, as the eager products
         eager = from_factors_reference(factors, scale, "C1")
         assert (f.num, f.den, f.component) == (eager.num, eager.den, "C1")
         assert (f.num, f.den) == (num, den)

@@ -202,6 +202,20 @@ def test_rational_roots_high_multiplicity_smooth():
     assert cofactor.degree == 0
 
 
+def test_factored_function_keeps_no_dense_copy():
+    f = RatFunc.from_factors([(0, 2), (F(1, 2), -1), (5, 0)], F(-3, 4), "C1")
+    factors = f.factors
+    assert (f.num, f.den) == (Poly([0, 0, F(-3, 4)]), Poly([F(-1, 2), 1]))
+    # the reads multiplied num and den out and kept neither
+    for slot in (RatFunc.num, RatFunc.den):
+        with pytest.raises(AttributeError):
+            slot.__get__(f)
+    assert f.factors is factors
+    g = f.dense()
+    assert g.factors is None and (g.num, g.den, g.component) == (f.num, f.den, "C1")
+    assert g.dense() is g and g == f
+
+
 def test_split_divisor():
     f = T**2 / (T - 1)
     assert split_divisor(f) == {P0: 2, P1: -1, PINF: -1}

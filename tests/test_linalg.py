@@ -6,7 +6,13 @@ from math import gcd
 import pytest
 import sympy
 
-from oracles import as_primitive_int, dense_rows, integer_combination, lll_reduce_reference
+from oracles import (
+    as_primitive_int,
+    dense_rows,
+    integer_combination,
+    integer_kernel_reference,
+    lll_reduce_reference,
+)
 
 from albx.linalg import (
     RowSpan,
@@ -16,6 +22,7 @@ from albx.linalg import (
     lll_reduce,
     rational_kernel_basis,
 )
+from albx.sampling import _joint_kernel
 
 
 def mat_vec(rows, v):
@@ -76,6 +83,45 @@ def test_integer_kernels_agree(rows, ncols):
 def test_integer_kernel_saturated():
     # kernel of [[2, -2]] over Z must contain (1, 1), not just (2, 2)
     assert integer_kernel_basis([[2, -2]], 2) == [[1, 1]]
+
+
+def _mixed_rows(rng, ncols, count, bits):
+    """count rows of ncols entries, a third of them zero, the rest of
+    bit lengths drawn from bits, with random signs."""
+    return [
+        [0 if rng.random() < 0.3 else rng.choice((1, -1)) * (rng.getrandbits(rng.randint(*bits)) | 1)
+         for _ in range(ncols)]
+        for _ in range(count)
+    ]
+
+
+def test_kernels_match_one_pass_reference():
+    """The kernel that eliminates its small rows first, and the sampler's
+    kernel of the small rows and then the large ones, against one Hermite
+    pass in the given row order, on rows of 1-3 bits mixed with rows of
+    40-180 bits."""
+    rng = random.Random(21)
+    seen = {"rank-deficient": 0, "empty kernel": 0, "no large rows": 0, "large rows": 0}
+    for case in range(600):
+        ncols = rng.randint(1, 9)
+        small = _mixed_rows(rng, ncols, rng.randint(0, 4), (1, 3))
+        large = _mixed_rows(rng, ncols, rng.randint(0, 3), (40, 180))
+        if case % 4 == 1 and small + large:
+            # a combination of the rows already drawn
+            weights = [rng.randint(-2, 2) for _ in small + large]
+            extra = [sum(w * row[i] for w, row in zip(weights, small + large)) for i in range(ncols)]
+            (large if any(abs(x) > 7 for x in extra) else small).append(extra)
+        elif case % 4 == 2:
+            small += _mixed_rows(rng, ncols, ncols, (1, 3))
+        rows = small + large
+        rng.shuffle(rows)
+        expected = integer_kernel_reference(rows, ncols)
+        assert integer_kernel_basis(rows, ncols) == expected, rows
+        assert _joint_kernel(small, large, ncols) == expected, (small, large)
+        seen["rank-deficient"] += len(rows) > ncols - len(expected)
+        seen["empty kernel"] += not expected
+        seen["large rows" if large else "no large rows"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_hnf_rows_canonical():

@@ -1,10 +1,15 @@
+import os
+from pathlib import Path
 import random
 from fractions import Fraction as F
+import subprocess
+import sys
 
 import pytest
 
 from oracles import is_cartier_unit, l1_sweep_reference, lll_reduce_reference
 
+import albx
 from albx import chow, fixtures, funcfield, sampling
 from albx.chow import abel_jacobi, certify_cartier, div_C
 from albx.curve import degree_per_component
@@ -18,6 +23,10 @@ from albx.sampling import (
     random_split_ratfunc,
     random_zero_cycle,
 )
+
+# the subprocess imports the albx that these tests import
+SRC = str(Path(albx.__file__).resolve().parents[1])
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.getenv("PYTHONPATH")))))
 
 
 def test_random_rational_bounds():
@@ -249,3 +258,20 @@ def test_criterion_4_path_builds_no_dense_unit(whole_zoo, monkeypatch):
         assert len(built) == (10 if lie else 0) == len(interpolants), name
         # the roots tuple is passed on as it is kept, so identity tells them apart
         assert all(any(b[1] is f[1] for f in interpolants) for b in built), name
+
+
+def test_two_tacnode_chain_builds():
+    """Two lines glued by two tacnodes: the build runs all three pool rounds,
+    of 40, 80 and 160 columns, and keeps the first round's basis, the one
+    that one Hermite pass over all the rows gives (in minutes, not
+    seconds)."""
+    code = (
+        "from albx import fixtures, sampling\n"
+        "s = sampling.CartierUnitSampler(fixtures.line_chain(2, ['tacnode', 'tacnode']))\n"
+        "print([sum(map(abs, b)) for b in s.basis], len(s.columns))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[28, 32, 84, 84, 90, 96, 98, 100] 40\n"

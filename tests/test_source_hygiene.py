@@ -18,7 +18,9 @@ point keeps its ring modulo the conductor, so chow.py, infdiv.py and
 verify.py never read a truncation, and only curve.py lays out jet
 columns: series_tuple_vector (the layout through N) is curve.py's own,
 and jet_column (the conductor columns) is called elsewhere only by
-chow.certify_cartier and infdiv.lie_kernel.
+chow.certify_cartier and infdiv.lie_kernel.  No module calls json.dump
+or json.dumps with an indent, which runs the pure-Python encoder: the
+reports go through cli's own writer.
 """
 
 import ast
@@ -233,3 +235,16 @@ def test_only_curve_lays_out_jet_columns():
         if references(tree)["jet_column"] > allowed:
             found.append(f"{name} jet_column")
     assert not found, found
+
+
+def test_no_indented_json_dumps():
+    calls = [
+        (name, node.lineno)
+        for name, tree in parsed_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert not calls, calls
