@@ -27,6 +27,7 @@ from fractions import Fraction
 from .arith import format_rat
 from .curve import Divisor, degree_per_component, jet_column, validate
 from .errors import DegreeError, InputError, NotCartierError
+from .frozen import Frozen
 from .funcfield import (
     Place,
     RatFunc,
@@ -42,6 +43,8 @@ from .motive import albanese
 
 class ZeroCycle(Divisor):
     """Divisor whose support must stay inside the regular locus."""
+
+    __slots__ = ()
 
     @classmethod
     def from_string(cls, text):
@@ -159,7 +162,7 @@ def interpolate_divisor(cycle, component):
     return RatFunc.from_factors(factors, component=component)
 
 
-class AJPoint:
+class AJPoint(Frozen):
     """A point of (Q*)^t x Q^v, the value of the Abel-Jacobi map."""
 
     __slots__ = ("torus", "vectorial")
@@ -170,12 +173,6 @@ class AJPoint:
             raise ValueError("torus coordinates must be nonzero")
         object.__setattr__(self, "torus", torus)
         object.__setattr__(self, "vectorial", tuple(Fraction(x) for x in vectorial))
-
-    def __setattr__(self, *args):
-        raise AttributeError("AJPoint is immutable")
-
-    def __reduce__(self):
-        return AJPoint, (self.torus, self.vectorial)
 
     def is_identity(self):
         return all(x == 1 for x in self.torus) and not any(self.vectorial)
@@ -190,13 +187,6 @@ class AJPoint:
     def inverse(self):
         return AJPoint(
             tuple(1 / a for a in self.torus), tuple(-a for a in self.vectorial)
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AJPoint)
-            and self.torus == other.torus
-            and self.vectorial == other.vectorial
         )
 
     def __repr__(self):

@@ -41,13 +41,14 @@ import json
 
 from .arith import abbreviate, format_rat, parse_rat
 from .errors import InputError, ValidationError
+from .frozen import Frozen
 from .funcfield import LaurentSeries, Place, format_coordinate
 from .linalg import RowSpan
 
 MAX_TRUNCATION = 1024
 
 
-class Divisor:
+class Divisor(Frozen):
     """Finite Z-combination of places of the smooth model.
 
     The places are sorted once, here, and kept in that order (a dict
@@ -66,12 +67,6 @@ class Divisor:
         order = sorted((p for p, m in data.items() if m), key=Place.sort_key)
         object.__setattr__(self, "_coeffs", {p: data[p] for p in order})
 
-    def __setattr__(self, *args):
-        raise AttributeError("Divisor is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.items(),)
-
     def coeff(self, place):
         return self._coeffs.get(place, 0)
 
@@ -83,12 +78,6 @@ class Divisor:
 
     def __bool__(self):
         return bool(self._coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Divisor) and self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.items()))
 
     def __add__(self, other):
         out = dict(self._coeffs)
@@ -131,7 +120,7 @@ def degree_per_component(D):
     return out
 
 
-class SingularPoint:
+class SingularPoint(Frozen):
     """One singular point of the curve, presented by its branch fiber.
 
     generators are tuples over the branches; entry i is the local series
@@ -153,19 +142,11 @@ class SingularPoint:
             self, "generators", None if generators is None else tuple(tuple(g) for g in generators)
         )
 
-    def __setattr__(self, *args):
-        raise AttributeError("SingularPoint is immutable")
-
-    def __reduce__(self):
-        return SingularPoint, (
-            self.name, self.branches, self.kind, self.conductors, self.generators
-        )
-
     def __repr__(self):
         return f"SingularPoint({self.name!r}, branches={list(self.branches)!r}, kind={self.kind!r})"
 
 
-class CurveConfig:
+class CurveConfig(Frozen):
     """A curve configuration; immutable once validated."""
 
     __slots__ = ("components", "singular_points", "truncation", "validated", "_spans")
@@ -177,13 +158,9 @@ class CurveConfig:
         object.__setattr__(self, "validated", bool(validated))
         object.__setattr__(self, "_spans", spans or {})
 
-    def __setattr__(self, *args):
-        raise AttributeError("CurveConfig is immutable")
-
-    def __reduce__(self):
-        return CurveConfig, (
-            self.components, self.singular_points, self.truncation, self.validated, self._spans
-        )
+    # compared by identity: _spans holds RowSpans, which are mutable
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def branch_places(self):
         out = []

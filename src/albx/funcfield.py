@@ -54,6 +54,7 @@ from .errors import (
     NonSplitError,
     UndefinedValuationError,
 )
+from .frozen import Frozen
 
 
 class _Infinity:
@@ -68,12 +69,6 @@ class _Infinity:
 
     def __repr__(self):
         return "inf"
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
 
 
 INF = _Infinity()
@@ -90,10 +85,11 @@ def format_coordinate(coord):
     return "inf" if coord is INF else format_rat(coord)
 
 
-class Place:
+class Place(Frozen):
     """A Q-rational point of one projective-line component."""
 
     __slots__ = ("component", "coordinate", "_hash")
+    _cached = ("_hash",)  # str hashes are salted per process
 
     def __init__(self, component, coordinate):
         object.__setattr__(self, "component", str(component))
@@ -101,12 +97,6 @@ class Place:
             coordinate = Fraction(coordinate)  # a Fraction is kept, not copied
         object.__setattr__(self, "coordinate", coordinate)
         object.__setattr__(self, "_hash", hash((self.component, coordinate)))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Place is immutable")
-
-    def __reduce__(self):
-        return Place, (self.component, self.coordinate)
 
     def is_infinite(self):
         return self.coordinate is INF
@@ -124,7 +114,11 @@ class Place:
         )
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:  # a copied or unpickled place
+            object.__setattr__(self, "_hash", hash((self.component, self.coordinate)))
+            return self._hash
 
     def __repr__(self):
         return f"{self.component}:{format_coordinate(self.coordinate)}"
@@ -140,7 +134,7 @@ class Place:
             raise InputError(f"bad place object {data!r}: {exc}") from None
 
 
-class Poly:
+class Poly(Frozen):
     """Dense polynomial over Q; the zero polynomial has no coefficients."""
 
     __slots__ = ("coeffs",)
@@ -150,12 +144,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Poly is immutable")
-
-    def __reduce__(self):
-        return Poly, (self.coeffs,)
 
     @classmethod
     def const(cls, c):
@@ -177,12 +165,6 @@ class Poly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -328,7 +310,7 @@ def _multiply_out(scale, roots, exponents):
     return Poly([Fraction(c * n, d) for c in num]), Poly([Fraction(c, den[-1]) for c in den])
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """Reduced ratio of polynomials on a named component, denominator monic.
 
     The constructor runs Euclid only when numerator and denominator both
@@ -338,8 +320,8 @@ class RatFunc:
     function built by from_factors: there it is (scale, roots, exponents),
     the finite zeros and poles with their nonzero orders, the num and den
     slots stay unset, and each read of num or den multiplies them out
-    (__getattr__); dlog_ratfunc, __eq__ and __repr__, which read them
-    repeatedly, take dense() once.
+    (__getattr__); dlog_ratfunc, __eq__, __hash__ and __repr__, which
+    read them repeatedly, take dense() once.
     """
 
     __slots__ = ("num", "den", "component", "factors")
@@ -362,16 +344,6 @@ class RatFunc:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "component", str(component))
         object.__setattr__(self, "factors", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RatFunc is immutable")
-
-    def __reduce__(self):
-        """Rebuilt by from_factors when factored, so it stays factored."""
-        if self.factors is None:
-            return RatFunc._raw, (self.num, self.den, self.component)
-        scale, roots, exponents = self.factors
-        return RatFunc.from_factors, (tuple(zip(roots, exponents)), scale, self.component)
 
     def __getattr__(self, name):
         """num or den of a factored function, multiplied out and not kept;
@@ -445,7 +417,8 @@ class RatFunc:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
-        return hash((self.component, self.num, self.den))
+        f = self.dense()
+        return hash((self.component, f.num, f.den))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -516,7 +489,7 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})"
 
 
-class LaurentSeries:
+class LaurentSeries(Frozen):
     """Finitely many exact coefficients of a local Laurent expansion.
 
     coeffs maps exponent -> nonzero Fraction; every exponent is <= the
@@ -537,12 +510,6 @@ class LaurentSeries:
                 data[int(e)] = c
         object.__setattr__(self, "coeffs", dict(sorted(data.items())))
 
-    def __setattr__(self, *args):
-        raise AttributeError("LaurentSeries is immutable")
-
-    def __reduce__(self):
-        return LaurentSeries, (self.place, self.truncation, self.coeffs)
-
     @classmethod
     def monomial(cls, place, exponent, coeff, truncation):
         return cls(place, truncation, {exponent: coeff})
@@ -561,14 +528,6 @@ class LaurentSeries:
     def _check(self, other):
         if self.place != other.place:
             raise InputError(f"series at different places: {self.place!r}, {other.place!r}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentSeries)
-            and self.place == other.place
-            and self.truncation == other.truncation
-            and self.coeffs == other.coeffs
-        )
 
     def __add__(self, other):
         self._check(other)

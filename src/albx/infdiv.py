@@ -27,12 +27,13 @@ from fractions import Fraction
 
 from .curve import Divisor, jet_column
 from .errors import InputError, ValidationError
+from .frozen import Frozen
 from .funcfield import LaurentSeries, Place
 from .linalg import hnf_rows, rational_kernel_basis
 from .arith import format_rat
 
 
-class InfinitesimalDivisor:
+class InfinitesimalDivisor(Frozen):
     """Finitely many principal parts, exponents strictly negative."""
 
     __slots__ = ("parts",)
@@ -50,12 +51,6 @@ class InfinitesimalDivisor:
             data[place] = LaurentSeries(place, -1, series.coeffs)
         object.__setattr__(self, "parts", data)
 
-    def __setattr__(self, *args):
-        raise AttributeError("InfinitesimalDivisor is immutable")
-
-    def __reduce__(self):
-        return InfinitesimalDivisor, (self.parts,)
-
     def places(self):
         return sorted(self.parts, key=Place.sort_key)
 
@@ -64,9 +59,6 @@ class InfinitesimalDivisor:
 
     def is_zero(self):
         return not self.parts
-
-    def __eq__(self, other):
-        return isinstance(other, InfinitesimalDivisor) and self.parts == other.parts
 
     def __repr__(self):
         if not self.parts:
@@ -102,7 +94,7 @@ def residue_pairing(f, g):
     return total
 
 
-class FormalGroupData:
+class FormalGroupData(Frozen):
     """A formal group as a free lattice plus a finite dimensional Lie part."""
 
     __slots__ = ("etale_basis", "lie_basis")
@@ -111,12 +103,6 @@ class FormalGroupData:
         object.__setattr__(self, "etale_basis", tuple(etale_basis))
         object.__setattr__(self, "lie_basis", tuple(lie_basis))
 
-    def __setattr__(self, *args):
-        raise AttributeError("FormalGroupData is immutable")
-
-    def __reduce__(self):
-        return FormalGroupData, (self.etale_basis, self.lie_basis)
-
     @property
     def rank(self):
         return len(self.etale_basis)
@@ -124,13 +110,6 @@ class FormalGroupData:
     @property
     def dim(self):
         return len(self.lie_basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalGroupData)
-            and self.etale_basis == other.etale_basis
-            and self.lie_basis == other.lie_basis
-        )
 
     def __repr__(self):
         return f"FormalGroupData(rank={self.rank}, dim={self.dim})"

@@ -11,6 +11,7 @@ FormalGroupData is the only type that holds the bases.
 """
 
 from .curve import validate
+from .frozen import Frozen
 from .funcfield import Place
 from .infdiv import divisor_group
 
@@ -25,7 +26,7 @@ def linear_group(rank, dim):
     return " x ".join(factors) if factors else "1"
 
 
-class OneMotive:
+class OneMotive(Frozen):
     """[F -> 0] for a formal group F, or its dual [0 -> F^v] when dual is set.
 
     The map is identically zero because the Picard group of a disjoint
@@ -37,19 +38,6 @@ class OneMotive:
     def __init__(self, formal, dual=False):
         object.__setattr__(self, "formal", formal)
         object.__setattr__(self, "dual", bool(dual))
-
-    def __setattr__(self, *args):
-        raise AttributeError("OneMotive is immutable")
-
-    def __reduce__(self):
-        return OneMotive, (self.formal, self.dual)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OneMotive)
-            and self.formal == other.formal
-            and self.dual == other.dual
-        )
 
     def __repr__(self):
         rank, dim = self.formal.rank, self.formal.dim

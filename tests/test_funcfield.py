@@ -10,6 +10,7 @@ from albx.errors import (
     NonSplitError,
     UndefinedValuationError,
 )
+from albx import funcfield
 from albx.funcfield import (
     INF,
     LaurentSeries,
@@ -214,6 +215,19 @@ def test_factored_function_keeps_no_dense_copy():
     g = f.dense()
     assert g.factors is None and (g.num, g.den, g.component) == (f.num, f.den, "C1")
     assert g.dense() is g and g == f
+
+
+def test_factored_hash_multiplies_out_once(monkeypatch):
+    f = RatFunc.from_factors([(0, 2), (F(1, 2), -1)], F(-3, 4), "C1")
+    dense, multiply_out, calls = f.dense(), funcfield._multiply_out, []
+
+    def counted(*args):
+        calls.append(args)
+        return multiply_out(*args)
+
+    monkeypatch.setattr(funcfield, "_multiply_out", counted)
+    assert hash(f) == hash(dense)
+    assert len(calls) == 1
 
 
 def test_split_divisor():

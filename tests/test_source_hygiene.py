@@ -20,7 +20,9 @@ columns: series_tuple_vector (the layout through N) is curve.py's own,
 and jet_column (the conductor columns) is called elsewhere only by
 chow.certify_cartier and infdiv.lie_kernel.  No module calls json.dump
 or json.dumps with an indent, which runs the pure-Python encoder: the
-reports go through cli's own writer.
+reports go through cli's own writer.  Only frozen.py defines
+__setattr__, __delattr__ or __reduce__: every immutable type takes
+them from frozen.Frozen.
 """
 
 import ast
@@ -248,3 +250,15 @@ def test_no_indented_json_dumps():
         and any(k.arg == "indent" for k in node.keywords)
     ]
     assert not calls, calls
+
+
+def test_only_frozen_defines_the_immutability_protocol():
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in parsed_modules().items()
+        if name != "frozen.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("__setattr__", "__delattr__", "__reduce__")
+    ]
+    assert not found, found
