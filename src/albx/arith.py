@@ -7,9 +7,10 @@ import re
 from .errors import InputError
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-# bits of a printed numerator or denominator, and of a coefficient that
-# cli forms by ^; past it the command exits 2 instead of printing
+# bits of a printed numerator or denominator, of a coefficient that cli
+# forms by ^ and of a torus coordinate; past it InputError is raised
 MAX_HEIGHT = 2**16
+MAX_DEGREE = 2048  # of a ^ base times |exponent| in cli, and of an abel_jacobi interpolant
 # Fraction's forms, once "_" between digits is dropped: a/b, or a decimal
 _RATIONAL = re.compile(r"([+-]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:e([+-]?)(\d+))?)", re.I)
 

@@ -24,7 +24,7 @@ certified by its branch values alone.
 
 from fractions import Fraction
 
-from .arith import format_rat
+from .arith import MAX_DEGREE, MAX_HEIGHT, format_rat
 from .curve import Divisor, degree_per_component, jet_column, validate
 from .errors import DegreeError, InputError, NotCartierError
 from .frozen import Frozen
@@ -148,6 +148,7 @@ def interpolate_divisor(cycle, component):
 
     Genus zero makes it unique once numerator and denominator are monic;
     the coefficient at infinity is absorbed by the degree difference.
+    A numerator or denominator past degree MAX_DEGREE is refused unformed.
     """
     factors = []
     degree = 0
@@ -159,6 +160,8 @@ def interpolate_divisor(cycle, component):
             factors.append((p.coordinate, m))
     if degree != 0:
         raise DegreeError(f"cycle has degree {degree} on {component}")
+    if max(sum(m for _, m in factors if m > 0), -sum(m for _, m in factors if m < 0)) > MAX_DEGREE:
+        raise InputError(f"interpolant on {component} would pass degree {MAX_DEGREE}")
     return RatFunc.from_factors(factors, component=component)
 
 
@@ -256,8 +259,10 @@ def abel_jacobi(cycle, config, alb):
     cycle's finite points a on q's component; at a branch at infinity it
     is 1, being monic over monic of one degree.  Each torus coordinate
     is an integer numerator and denominator over its (q - a)^(m w)
-    factors, made a Fraction once.  Interpolants are built only on
-    components that carry a Lie element.
+    factors, made a Fraction once; as each factor x^e joins one side,
+    that side's bound of bits, from 1, grows by e ceil(log2 |x|), and
+    past MAX_HEIGHT InputError is raised.  Interpolants are built only
+    on components that carry a Lie element, in sorted order.
     """
     config = validate(config)
     check_cycle_support(cycle, config)
@@ -265,22 +270,27 @@ def abel_jacobi(cycle, config, alb):
     bad = {c: d for c, d in degrees.items() if d}
     if bad:
         raise DegreeError(f"cycle has nonzero degree: {bad}")
-    finite = [(p.component, p.coordinate, m) for p, m in cycle.items() if not p.is_infinite()]
+    finite = [(p.component, p.coordinate.numerator, p.coordinate.denominator, m)
+              for p, m in cycle.items() if not p.is_infinite()]
     torus = []
-    for omega in alb.etale_basis:
-        num = den = 1
+    for i, omega in enumerate(alb.etale_basis):
+        num = den = num_bits = den_bits = 1
         for q, w in omega.items():
             if q.is_infinite():
                 continue
             qn, qd = q.coordinate.numerator, q.coordinate.denominator
-            for comp, a, m in finite:
+            for comp, an, ad, m in finite:
                 if comp == q.component:
-                    x, y, e = qn * a.denominator - a.numerator * qd, qd * a.denominator, m * w
+                    x, y, e = qn * ad - an * qd, qd * ad, m * w
                     if e < 0:
                         x, y, e = y, x, -e
+                    num_bits += e * (abs(x) - 1).bit_length()
+                    den_bits += e * (abs(y) - 1).bit_length()
+                    if num_bits > MAX_HEIGHT or den_bits > MAX_HEIGHT:
+                        raise InputError(f"torus coordinate {i} would pass {MAX_HEIGHT} bits")
                     num, den = num * x**e, den * y**e
         torus.append(Fraction(num, den))
-    lie = {q.component for delta in alb.lie_basis for q in delta.places()}
+    lie = sorted({q.component for delta in alb.lie_basis for q in delta.places()})
     funcs = {comp: interpolate_divisor(cycle, comp) for comp in lie}
     return AJPoint(torus, _lie_coordinates(funcs, alb.lie_basis))
 

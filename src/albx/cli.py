@@ -11,15 +11,16 @@ verify suite could not test (INCONCLUSIVE) and none failed.
 Expressions nest at most MAX_DEPTH deep, hold no integer literal past
 MAX_HEIGHT bits and raise no power past MAX_DEGREE or MAX_HEIGHT (the
 coefficient bits of the result, bounded before it is formed);
-curve.validate bounds the truncation order, chow the size of a cycle's
-coordinates, and arith.format_rat prints no rational past MAX_HEIGHT bits.
+curve.validate bounds the truncation order, chow.abel_jacobi a torus
+coordinate as each factor is formed and an interpolant before it is
+built, and arith.format_rat prints no rational past MAX_HEIGHT bits.
 """
 
 import argparse
 from json.encoder import encode_basestring_ascii
 import sys
 
-from .arith import MAX_HEIGHT, common_denominator, format_rat, parse_int
+from .arith import MAX_DEGREE, MAX_HEIGHT, common_denominator, format_rat, parse_int
 from .chow import ZeroCycle, abel_jacobi, check_cycle_support
 from .curve import config_to_json, degree_per_component, load_config, validate
 from .errors import AlbxError, InputError
@@ -34,7 +35,6 @@ from .verify import run_verify
 
 _TOKENS = set("+-*/^()")
 MAX_DEPTH = 100  # nesting of parentheses and unary minus signs
-MAX_DEGREE = 2048  # larger degree of a base times |exponent| after ^
 
 
 def _height_bits(poly):
@@ -275,34 +275,6 @@ def cmd_analyze(args):
     return 0
 
 
-def _check_cycle_size(cycle, alb):
-    """Refuse a degree-0 cycle before abel_jacobi forms a torus coordinate
-    past MAX_HEIGHT bits or an interpolant past MAX_DEGREE.  Write q - p as
-    a / b, a = qn pd - pn qd and b = qd pd; the numerator of prod (q - p)^e
-    has at most 1 + sum |e| ceil(log2 x) bits, x = |a| where e > 0 and b
-    where e < 0, and likewise the denominator."""
-    finite = [(p.component, p.coordinate, m) for p, m in cycle.items() if not p.is_infinite()]
-    for i, omega in enumerate(alb.etale_basis):
-        bits = [1, 1]  # bounds on the numerator's and denominator's bits
-        for q, w in omega.items():
-            if q.is_infinite():
-                continue
-            qn, qd = q.coordinate.numerator, q.coordinate.denominator
-            for comp, x, m in finite:
-                if comp == q.component:
-                    a, b, e = abs(qn * x.denominator - x.numerator * qd), qd * x.denominator, m * w
-                    bits[e < 0] += abs(e) * (a - 1).bit_length()
-                    bits[e > 0] += abs(e) * (b - 1).bit_length()
-        if max(bits) > MAX_HEIGHT:
-            raise InputError(f"torus coordinate {i} would pass {MAX_HEIGHT} bits")
-    # each component carrying a Lie element gets an interpolant, whose
-    # degree is that of the cycle's positive, or negative, finite part there
-    for comp in sorted({q.component for delta in alb.lie_basis for q in delta.places()}):
-        mults = [m for c, _, m in finite if c == comp]
-        if max(sum(m for m in mults if m > 0), -sum(m for m in mults if m < 0)) > MAX_DEGREE:
-            raise InputError(f"interpolant on {comp} would pass degree {MAX_DEGREE}")
-
-
 def cmd_chow(args):
     config = validate(load_config(args.curve))
     cycle = ZeroCycle.from_string(args.cycle)
@@ -320,7 +292,6 @@ def cmd_chow(args):
             _write_lines([f"cycle: {cycle.to_string()}", "equivalent: false (nonzero degree)"])
         return 0
     alb = albanese(config)
-    _check_cycle_size(cycle, alb)
     point = abel_jacobi(cycle, config, alb)
     verdict = point.is_identity()
     if args.format == "json":

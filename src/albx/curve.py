@@ -41,7 +41,7 @@ import json
 
 from .arith import abbreviate, format_rat, parse_rat
 from .errors import InputError, ValidationError
-from .frozen import Frozen
+from .frozen import Frozen, _restore
 from .funcfield import LaurentSeries, Place, format_coordinate
 from .linalg import RowSpan
 
@@ -147,16 +147,16 @@ class SingularPoint(Frozen):
 
 
 class CurveConfig(Frozen):
-    """A curve configuration; immutable once validated."""
+    """A curve configuration; only validate returns a validated one."""
 
     __slots__ = ("components", "singular_points", "truncation", "validated", "_spans")
 
-    def __init__(self, components, singular_points, truncation, validated=False, spans=None):
+    def __init__(self, components, singular_points, truncation):
         object.__setattr__(self, "components", tuple(str(c) for c in components))
         object.__setattr__(self, "singular_points", tuple(singular_points))
         object.__setattr__(self, "truncation", int(truncation))
-        object.__setattr__(self, "validated", bool(validated))
-        object.__setattr__(self, "_spans", spans or {})
+        object.__setattr__(self, "validated", False)
+        object.__setattr__(self, "_spans", {})
 
     # compared by identity: _spans holds RowSpans, which are mutable
     __eq__ = object.__eq__
@@ -378,7 +378,10 @@ def validate(config):
                     vec[jet_column(sp, i, e + 1)] = x
             mod_conductor.add(vec)
 
-    return CurveConfig(config.components, new_points, n, validated=True, spans=spans)
+    return _restore(CurveConfig, {  # the constructor cannot set validated or _spans
+        "components": config.components, "singular_points": tuple(new_points),
+        "truncation": n, "validated": True, "_spans": spans,
+    })
 
 
 def modulus_multiplicities(points):
@@ -472,7 +475,7 @@ def config_from_json(data):
         return CurveConfig(components, points, truncation)
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad curve description: {exc}") from None
 
 
@@ -510,4 +513,6 @@ def load_config(path):
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deep") from None
     return config_from_json(data)

@@ -43,6 +43,7 @@ Design choices worth knowing:
     through rational_roots.
 """
 
+import enum
 from fractions import Fraction
 import itertools
 import math
@@ -57,21 +58,18 @@ from .errors import (
 from .frozen import Frozen
 
 
-class _Infinity:
-    """The coordinate of the place at infinity (a unique sentinel)."""
+class _Infinity(enum.Enum):
+    """The coordinate of the place at infinity, the same after any copy."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    INF = "inf"
 
     def __repr__(self):
         return "inf"
 
+    __str__ = __repr__  # verify._random_modulus sorts coordinates by str
 
-INF = _Infinity()
+
+INF = _Infinity.INF
 
 
 def parse_coordinate(text):

@@ -1,10 +1,16 @@
-import random
 from fractions import Fraction as F
+import os
+from pathlib import Path
+import random
+import subprocess
+import sys
+import time
 
 import pytest
 
 from oracles import is_cartier_unit
 
+import albx
 from albx.chow import (
     AJPoint,
     ZeroCycle,
@@ -25,6 +31,7 @@ from albx.sampling import CartierUnitSampler, random_rational, random_zero_cycle
 
 T = RatFunc.variable()
 P0 = Place("C0", 0)
+SRC = str(Path(albx.__file__).resolve().parents[1])
 
 
 def cyc(text):
@@ -125,6 +132,11 @@ def test_interpolate_examples():
 def test_interpolate_degree_guard():
     with pytest.raises(DegreeError):
         interpolate_divisor(cyc("C0:2=+1"), "C0")
+    # numerator and denominator each stop at MAX_DEGREE = 2048
+    assert interpolate_divisor(cyc("C0:5=+2048,C0:inf=-2048"), "C0").num.degree == 2048
+    for text in ("C0:5=+2049,C0:inf=-2049", "C0:inf=+2049,C0:7=-2049", "C0:5=+2049,C0:7=-2049"):
+        with pytest.raises(InputError, match="^interpolant on C0 would pass degree 2048$"):
+            interpolate_divisor(cyc(text), "C0")
 
 
 # --- Abel-Jacobi -------------------------------------------------------------------
@@ -167,6 +179,38 @@ def test_aj_support_guard(node):
     alb = albanese(node)
     with pytest.raises(InputError):
         abel_jacobi(cyc("C0:0=+1,C0:5=-1"), node, alb)
+
+
+def test_aj_torus_coordinate_past_height_limit(node):
+    # (2/3)^100000: rationally_equivalent formed 158,000-bit integers and
+    # answered False; abel_jacobi refuses before the first power
+    alb = albanese(node)
+    cycle = cyc("C0:2=+100000,C0:3=-100000")
+    for call in (abel_jacobi, rationally_equivalent):
+        t0 = time.perf_counter()
+        with pytest.raises(InputError, match="^torus coordinate 0 would pass 65536 bits$"):
+            call(cycle, node, alb)
+        assert time.perf_counter() - t0 < 1
+
+
+def test_aj_interpolant_past_degree_limit():
+    # the interpolant of degree 2049 on the cusp ran past 60 s unbounded
+    code = (
+        "from albx.chow import ZeroCycle, abel_jacobi\n"
+        "from albx.errors import InputError\n"
+        "from albx.fixtures import cusp\n"
+        "from albx.motive import albanese\n"
+        "cfg = cusp()\n"
+        "try:\n"
+        "    abel_jacobi(ZeroCycle.from_string('C0:5=+2049,C0:7=-2049'), cfg, albanese(cfg))\n"
+        "except InputError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
+    ).stdout
+    assert out == "interpolant on C0 would pass degree 2048\n"
 
 
 def test_aj_homomorphism(whole_zoo):

@@ -363,6 +363,34 @@ def test_analyze_json_constant_not_a_number_exits_2(curve_files, tmp_path, const
     assert err == f"error: bad rational literal {constant!r}\n"
 
 
+def _cusp_with_generator(entry):
+    data = config_to_json(cusp())
+    data["singular_points"][0]["generators"] = [[entry]]
+    return json.dumps(data)
+
+
+MALFORMED_CURVES = {
+    "generator_number": _cusp_with_generator(5),
+    "generator_string": _cusp_with_generator("u^2"),
+    "nested_top_level": "[" * 5000 + "]" * 5000,
+    "nested_components": '{"components": ' + "[" * 5000 + "]" * 5000 + ', "truncation": 3}',
+}
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("analyze", []), ("chow", ["--cycle", "C0:2=+1,C0:3=-1"]), ("verify", ["--trials", "2"])],
+)
+@pytest.mark.parametrize("name", sorted(MALFORMED_CURVES))
+def test_malformed_curve_file_exits_2(tmp_path, name, command, options):
+    # these files raised AttributeError or RecursionError, so verify exited 1
+    path = tmp_path / f"{name}.json"
+    path.write_text(MALFORMED_CURVES[name])
+    code, out, err = run_cli([command, str(path), *options], timeout=30)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 # --- chow ------------------------------------------------------------------------
 
 

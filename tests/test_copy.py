@@ -133,3 +133,12 @@ def test_place_pickled_in_another_process_hashes_here():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         ).stdout
         assert table[pickle.loads(bytes.fromhex(out))] == "found"
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_place_at_infinity_survives_every_pickle_protocol(protocol):
+    p = Place("C0", INF)
+    back = pickle.loads(pickle.dumps(p, protocol))
+    assert back.coordinate is INF and pickle.loads(pickle.dumps(INF, protocol)) is INF
+    assert back == p and hash(back) == hash(p)
+    assert repr(back) == str(back) == "C0:inf" and repr(INF) == str(INF) == "inf"

@@ -50,6 +50,20 @@ def test_cusp_valid(cusp):
     assert cusp.singular_points[0].conductors == (1,)
 
 
+@pytest.mark.parametrize("keyword", ["validated", "spans"])
+def test_only_validate_makes_a_validated_config(cusp, keyword):
+    # a config built as validated had no spans, and the kernels then
+    # failed with a TypeError instead of refusing it
+    args = (cusp.components, cusp.singular_points, cusp.truncation)
+    with pytest.raises(TypeError):
+        CurveConfig(*args, **{keyword: True})
+    raw = CurveConfig(*args)
+    checked = validate(raw)
+    assert not raw.validated and checked is not raw
+    assert checked.validated and validate(checked) is checked
+    assert dense_rows(checked.mhat_span("p")) == dense_rows(cusp.mhat_span("p"))
+
+
 def test_cusp_conductor_zero_rejected():
     gens = ((mono(0, 2, 3),), (mono(0, 3, 3),))
     sp = SingularPoint("p", (place(0),), "explicit", (0,), gens)
