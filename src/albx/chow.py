@@ -89,7 +89,8 @@ def check_cycle_support(cycle, config):
 
 def certify_cartier(funcs, config):
     """Check the unit condition at every singular point, reading each
-    branch q through its conductor c_q.
+    branch q through its conductor c_q.  The centered jets go to the
+    point's span as one sparse row on the jet_column layout.
 
     Returns None; raises NotCartierError with the branch and reason on
     failure.
@@ -104,26 +105,20 @@ def certify_cartier(funcs, config):
         if f.component != comp:
             raise NotCartierError(f"function for {comp} is built on {f.component}")
     for sp in config.singular_points:
-        expansions = []
-        for q, c in zip(sp.branches, sp.conductors):
+        values, jets = [], {}
+        for i, (q, c) in enumerate(zip(sp.branches, sp.conductors)):
             series = expand_at(funcs[q.component], q, c)
             if series.lead_bound() != 0:
                 raise NotCartierError(f"function has a zero or pole at branch {q!r}")
-            expansions.append(series)
-        values = [s.coefficient(0) for s in expansions]
+            values.append(series.coefficient(0))
+            # the jets u^1..u^c, which centering at the value leaves alone
+            jets.update((jet_column(sp, i, e), x) for e, x in series.coeffs.items() if e)
         if any(v != values[0] for v in values[1:]):
             raise NotCartierError(
                 f"branch values at {sp.name} disagree: "
                 + ", ".join(format_rat(v) for v in values)
             )
-        # the jets u^1..u^(c_q), which centering at the value leaves alone
-        span = config.mhat_span(sp.name)
-        vec = [0] * span.ncols
-        for i, series in enumerate(expansions):
-            for e, x in series.coeffs.items():
-                if e:
-                    vec[jet_column(sp, i, e)] = x
-        if not span.contains(vec):
+        if not config.mhat_span(sp.name).contains(jets):
             raise NotCartierError(
                 f"centered jets at {sp.name} are not in the local ring (mod conductor)"
             )

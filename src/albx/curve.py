@@ -185,64 +185,43 @@ class CurveConfig(Frozen):
         )
 
 
-def series_tuple_vector(sp, truncation, tup):
-    """Flatten a branch tuple of series to coordinates on u^1..u^N per branch."""
-    n = truncation
-    vec = [Fraction(0)] * (len(sp.branches) * n)
-    for i, series in enumerate(tup):
-        if series is None:
-            continue
-        for e, c in series.coeffs.items():
-            if 1 <= e <= n:
-                vec[i * n + (e - 1)] = c
-    return vec
-
-
 def jet_column(sp, i, e):
     """Column of u^e on branch i, 1 <= e <= c_i, in a validated point's
     span: the branches' conductor blocks side by side."""
     return sum(sp.conductors[:i]) + e - 1
 
 
-def _tuple_product(a, b):
-    out = []
-    for x, y in zip(a, b):
-        if x is None or y is None:
-            out.append(None)
-        else:
-            out.append(x * y)
-    return out
-
-
-def _support(tup):
-    """Branches on which a branch tuple is nonzero."""
-    return frozenset(i for i, s in enumerate(tup) if s is not None and s.coeffs)
-
-
 def _closure_span(sp, generators, truncation):
-    """Span of all products of generators, modulo the truncation order.
+    """Span of all products of generators, modulo the truncation order M.
 
-    A product is zero unless its factors are nonzero on a shared branch.
-    The generators are cut to the truncation order first, so no product
-    forms a term that the span cannot hold.
+    Each generator and each product is one sparse row {(branch i, power
+    e): coefficient}, 1 <= e <= M, added to the span at column
+    i*M + e - 1.  A product has terms only on the branches its factors
+    share, and every exponent is at least 1, so the terms past M that
+    the cut drops never reach a lower power.
     """
-    span = RowSpan(len(sp.branches) * truncation)
-    gens = []
-    for g in generators:
-        g = tuple(None if s is None else LaurentSeries(s.place, truncation, s.coeffs) for s in g)
-        gens.append((g, _support(g)))
-    frontier = [(g, on) for g, on in gens if span.add(series_tuple_vector(sp, truncation, g))]
+    m = truncation
+    span = RowSpan(len(sp.branches) * m)
+
+    def add(row):
+        return span.add({i * m + e - 1: c for (i, e), c in row.items()})
+
+    gens = [
+        {(i, e): c for i, s in enumerate(g) if s is not None for e, c in s.coeffs.items() if e <= m}
+        for g in generators
+    ]
+    frontier = [g for g in gens if add(g)]
     while frontier:
         new_frontier = []
-        for g, g_on in gens:
-            for m, m_on in frontier:
-                if g_on.isdisjoint(m_on):
-                    continue
-                prod = _tuple_product(g, m)
-                if all(s is None or s.lead_bound() > truncation for s in prod):
-                    continue  # zero modulo the truncation order
-                if span.add(series_tuple_vector(sp, truncation, prod)):
-                    new_frontier.append((prod, _support(prod)))
+        for g in gens:
+            for h in frontier:
+                prod = {}
+                for (i, e), c in g.items():
+                    for (j, f), d in h.items():
+                        if i == j and e + f <= m:
+                            prod[i, e + f] = prod.get((i, e + f), 0) + c * d
+                if add(prod):
+                    new_frontier.append(prod)
         frontier = new_frontier
     return span
 
@@ -252,9 +231,7 @@ def _conductor_gap(sp, span, truncation):
     and through the truncation order outside span, or None."""
     for i, c in enumerate(sp.conductors):
         for e in range(c + 1, truncation + 1):
-            probe = [0] * span.ncols  # u^e on branch i
-            probe[i * truncation + e - 1] = 1
-            if not span.contains(probe):
+            if not span.contains({i * truncation + e - 1: 1}):
                 return i, e
     return None
 
@@ -276,7 +253,9 @@ def validate(config):
     its first is u^(c_0 + 1) on the first branch, the lowest power there
     can be, it is the answer; otherwise the closure through N is formed,
     since a power the window holds may need terms past M (u^2 + u^5
-    with c = 1 holds u^2 through 3 but not through 10).
+    with c = 1 holds u^2 through 3 but not through 10).  The closure's
+    rows stay sparse from generator to span, so that costs the
+    closure's nonzeros, not branches x N per product.
     """
     if config.validated:
         return config
@@ -371,12 +350,9 @@ def validate(config):
         # every u^e past c_i is in span, so its reduced rows are those
         # units and the rows on the conductor columns, kept here
         for _, row in span.sparse_rows():
-            vec = [0] * mod_conductor.ncols
-            for col, x in row.items():
-                i, e = divmod(col, window)
-                if e < sp.conductors[i]:
-                    vec[jet_column(sp, i, e + 1)] = x
-            mod_conductor.add(vec)
+            cut = ((divmod(col, window), x) for col, x in row.items())
+            kept = {jet_column(sp, i, e + 1): x for (i, e), x in cut if e < sp.conductors[i]}
+            mod_conductor.add(kept)
 
     return _restore(CurveConfig, {  # the constructor cannot set validated or _spans
         "components": config.components, "singular_points": tuple(new_points),
@@ -428,12 +404,12 @@ def curve_from_modulus(points):
 
 
 def _series_from_json(place, data, truncation):
+    """A generator entry: a JSON object {exponent: coefficient}, {} for zero."""
+    if not isinstance(data, dict):
+        raise InputError(f"generator entry at branch {place!r} is not a JSON object")
     if not data:
         return None
-    coeffs = {}
-    for e, c in data.items():
-        coeffs[int(e)] = parse_rat(c)
-    return LaurentSeries(place, truncation, coeffs)
+    return LaurentSeries(place, truncation, {int(e): parse_rat(c) for e, c in data.items()})
 
 
 def _integer(field, value):

@@ -75,8 +75,10 @@ class RowSpan:
         return len(self._rows)
 
     def _reduce(self, vec):
-        """Remainder of a dense vector modulo the span, as a sparse row."""
-        v = {i: Fraction(x) for i, x in enumerate(vec) if x}
+        """Remainder of a vector modulo the span, as a sparse row; vec is a
+        {column: value} mapping, whose zero entries are dropped, or dense."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {i: Fraction(x) for i, x in items if x}
         # No row has an entry at another pivot, so each pivot in v's
         # support is cleared exactly once, by its own row.
         for p in [p for p in v if p in self._rows]:
@@ -84,7 +86,7 @@ class RowSpan:
         return v
 
     def add(self, vec):
-        """Insert a dense vector; True iff it enlarged the span."""
+        """Insert a {column: value} row or a dense vector; True iff it enlarged the span."""
         v = self._reduce(vec)
         if not v:
             return False

@@ -52,7 +52,7 @@ import sympy
 
 from albx.arith import format_rat
 from albx.chow import certify_cartier
-from albx.curve import Divisor, _closure_span, series_tuple_vector, validate
+from albx.curve import Divisor, _closure_span, validate
 from albx.errors import NotCartierError, UndefinedValuationError
 from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor
 from albx.linalg import RowSpan, hnf_rows, integer_kernel_basis
@@ -690,9 +690,8 @@ def certify_cartier_reference(funcs, config):
                 f"branch values at {sp.name} disagree: "
                 + ", ".join(format_rat(v) for v in values)
             )
-        centered = tuple(s - value for s in expansions)
-        vec = series_tuple_vector(sp, n, centered)
-        if not span_through(sp, n).contains(vec):
+        centered = [(s - value).coeffs for s in expansions]
+        if not span_through(sp, n).contains(jet_vector(centered, len(sp.branches), n)):
             raise NotCartierError(
                 f"centered jets at {sp.name} are not in the local ring (mod conductor)"
             )

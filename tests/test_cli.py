@@ -369,9 +369,22 @@ def _cusp_with_generator(entry):
     return json.dumps(data)
 
 
+def _cusp_with_third_generator(entry):
+    # a lone zero generator is refused as "no generators visible", so the
+    # falsy entries ride along with the cusp's own two
+    data = config_to_json(cusp())
+    data["singular_points"][0]["generators"].append([entry])
+    return json.dumps(data)
+
+
 MALFORMED_CURVES = {
     "generator_number": _cusp_with_generator(5),
     "generator_string": _cusp_with_generator("u^2"),
+    "generator_zero": _cusp_with_third_generator(0),
+    "generator_empty_string": _cusp_with_third_generator(""),
+    "generator_empty_array": _cusp_with_third_generator([]),
+    "generator_false": _cusp_with_third_generator(False),
+    "generator_null": _cusp_with_third_generator(None),
     "nested_top_level": "[" * 5000 + "]" * 5000,
     "nested_components": '{"components": ' + "[" * 5000 + "]" * 5000 + ', "truncation": 3}',
 }

@@ -20,6 +20,7 @@ from albx.curve import (
 from albx.errors import InputError, ValidationError
 from albx.fixtures import tacnode_point
 from albx.funcfield import INF, LaurentSeries, Place
+from albx.linalg import RowSpan
 from oracles import closure_verdict_reference, dense_rows, lift_to_truncation
 
 
@@ -187,7 +188,7 @@ def test_json_schema_shape(node):
     }
 
 
-def test_json_bad_input():
+def test_json_bad_input(tacnode):
     with pytest.raises(InputError):
         config_from_json({"components": [{"id": "C0"}]})
     with pytest.raises(InputError):
@@ -198,6 +199,15 @@ def test_json_bad_input():
                 "singular_points": [{"name": "p", "branches": [], "kind": "weird"}],
             }
         )
+    # {} is the zero series; a falsy entry of another type is refused,
+    # named by its branch
+    data = config_to_json(tacnode)
+    assert data["singular_points"][0]["generators"][1][1] == {}
+    config_from_json(data)
+    for entry in (0, "", [], False, None):
+        data["singular_points"][0]["generators"][1][1] = entry
+        with pytest.raises(InputError, match="generator entry at branch C0:1 is not a JSON object"):
+            config_from_json(data)
 
 
 # --- the window lemma -----------------------------------------------------------------
@@ -282,13 +292,23 @@ def test_validate_error_stops_at_the_window(monkeypatch):
     # closure, through 1, misses u^1 on the first branch, the lowest power
     # there can be, so it names the failure; u^2 + u^5 with conductor 1
     # holds u^2 through 3 but not through 10, so there the closure through
-    # N still runs and names u^2, not the window's u^3
+    # N still runs and names u^2, not the window's u^3; so it does for the
+    # tacnode with conductors [1, 0], whose gap is on the second branch,
+    # and there every vector offered to the span keeps the closure's own
+    # nonzeros, not one entry per column through N
     seen = []
     closure = curve._closure_span
 
     def counted(sp, generators, truncation):
         seen.append(truncation)
         return closure(sp, generators, truncation)
+
+    widths = []
+    reduce = RowSpan._reduce
+
+    def measured(span, vec):
+        widths.append(len(vec))
+        return reduce(span, vec)
 
     monkeypatch.setattr(curve, "_closure_span", counted)
     sp = _explicit_at("tacnode", MAX_TRUNCATION).singular_points[0]
@@ -302,6 +322,14 @@ def test_validate_error_stops_at_the_window(monkeypatch):
     with pytest.raises(ValidationError, match="branch C0:0, u\\^2 not generated"):
         validate(CurveConfig(["C0"], [sp], 10))
     assert seen == [3, 10]
+    seen.clear()
+    monkeypatch.setattr(RowSpan, "_reduce", measured)
+    sp = _explicit_at("tacnode", MAX_TRUNCATION).singular_points[0]
+    sp = SingularPoint("p", sp.branches, "explicit", (1, 0), sp.generators)
+    with pytest.raises(ValidationError, match="branch C0:1, u\\^1 not generated"):
+        validate(CurveConfig(["C0"], [sp], MAX_TRUNCATION))
+    assert seen == [3, MAX_TRUNCATION]
+    assert widths and max(widths) <= 2, max(widths)
 
 
 def _modulus_at(points, n):

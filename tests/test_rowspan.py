@@ -89,6 +89,35 @@ def test_row_span_matches_dense_reference():
     assert outside > CASES  # the outside probes are mostly outside
 
 
+def _mapping(rng, row):
+    """A dense row as a {column: value} mapping: every nonzero entry, and
+    some of the zero ones written out."""
+    return {c: x for c, x in enumerate(row) if x or rng.random() < 0.3}
+
+
+def test_row_span_takes_mappings():
+    # the same seeded rows, given as mappings and as dense lists
+    rng = random.Random(20261)
+    zeros = 0
+    for _ in range(CASES // 4):
+        ncols, rows = _case(rng)
+        by_mapping, by_list = RowSpan(ncols), RowSpan(ncols)
+        for row in rows:
+            mapping = _mapping(rng, row)
+            zeros += sum(not x for x in mapping.values())
+            assert by_mapping.add(mapping) == by_list.add(row)
+        assert by_mapping.sparse_rows() == by_list.sparse_rows()
+        assert by_mapping.rank == by_list.rank
+        for _ in range(4):
+            probe = _row(rng, ncols, True, rng.choice((0.2, 1.0)))
+            if rows and rng.random() < 0.5:
+                probe = _combination(rng, rng.sample(rows, rng.randint(1, len(rows))), ncols)
+            inside = by_list.contains(probe)
+            assert by_mapping.contains(_mapping(rng, probe)) == inside
+            assert by_list.contains(_mapping(rng, probe)) == inside
+    assert zeros > CASES  # explicit zero entries were offered
+
+
 def _rfold(r, n=2):
     branches = tuple(Place("C0", k) for k in range(r - 1)) + (Place("C0", INF),)
     return CurveConfig(["C0"], [SingularPoint("p", branches)], n)

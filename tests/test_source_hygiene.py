@@ -13,11 +13,12 @@ signatures.  Only curve.py reads a singular point's kind: every other
 module reads the conductors and spans that validate derives from it.
 Only arith.py names factorint: nothing else in the package factors an
 integer.  Only linalg.py reads a _rows attribute: every other module
-reads a RowSpan through sparse_rows, contains and rank.  A singular
-point keeps its ring modulo the conductor, so chow.py, infdiv.py and
-verify.py never read a truncation, and only curve.py lays out jet
-columns: series_tuple_vector (the layout through N) is curve.py's own,
-and jet_column (the conductor columns) is called elsewhere only by
+reads a RowSpan through sparse_rows, contains and rank, and only
+linalg.py reads an ncols attribute: a span takes sparse rows, so no
+other module forms a vector as wide as a span.  A singular point keeps
+its ring modulo the conductor, so chow.py, infdiv.py and verify.py
+never read a truncation, and only curve.py lays out jet columns:
+jet_column (the conductor columns) is called elsewhere only by
 chow.certify_cartier and infdiv.lie_kernel.  No module calls json.dump
 or json.dumps with an indent, which runs the pure-Python encoder: the
 reports go through cli's own writer.  Only frozen.py defines
@@ -208,6 +209,19 @@ def test_only_linalg_reads_rows():
     assert not found, found
 
 
+def test_only_linalg_reads_ncols():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules().items()
+        if name != "linalg.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "ncols"
+        and isinstance(node.ctx, ast.Load)
+    ]
+    assert not found, found
+
+
 def test_no_truncation_past_curve():
     found = [
         f"{name}:{node.lineno}"
@@ -225,8 +239,6 @@ def test_only_curve_lays_out_jet_columns():
     for name, tree in parsed_modules().items():
         if name == "curve.py":
             continue
-        if references(tree)["series_tuple_vector"]:
-            found.append(f"{name} series_tuple_vector")
         # the import, and the calls in the one function allowed to make them
         allowed = sum(
             references(node)["jet_column"]
