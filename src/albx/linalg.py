@@ -2,11 +2,11 @@
 
 There is one rational elimination (RowSpan, a sparse reduced row
 echelon form maintained incrementally) and one integer elimination
-(hnf_rows, the row Hermite normal form).  Rational kernels are read off
-the reduced row space; integer (lattice) kernels come from Hermite
-reduction of [A^T | I].  All bases are canonicalized (Hermite form,
-positive leading entries, fixed column order) so repeated runs print
-identical output.
+(Euclid column by column on sparse rows, under hnf_rows, the row
+Hermite normal form).  Rational kernels are read off the reduced row
+space; integer (lattice) kernels come from clearing A's columns of
+[A^T | I].  All bases are canonicalized (Hermite form, positive leading
+entries, fixed column order) so repeated runs print identical output.
 """
 
 from fractions import Fraction
@@ -48,8 +48,15 @@ def rational_kernel_basis(rows, ncols):
     return basis
 
 
+def _sparse(vec, kind):
+    """A {column: value} mapping or a dense sequence as {column: kind(value)}
+    without its zero entries."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {c: kind(x) for c, x in items if x}
+
+
 def _subtract(v, coef, row):
-    """v -= coef * row in place, on sparse rows {column: nonzero Fraction}."""
+    """v -= coef * row in place, on sparse rows {column: nonzero entry}."""
     for c, b in row.items():
         x = v.get(c, 0) - coef * b
         if x:
@@ -77,8 +84,7 @@ class RowSpan:
     def _reduce(self, vec):
         """Remainder of a vector modulo the span, as a sparse row; vec is a
         {column: value} mapping, whose zero entries are dropped, or dense."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {i: Fraction(x) for i, x in items if x}
+        v = _sparse(vec, Fraction)
         # No row has an entry at another pivot, so each pivot in v's
         # support is cleared exactly once, by its own row.
         for p in [p for p in v if p in self._rows]:
@@ -109,26 +115,63 @@ class RowSpan:
         return sorted(self._rows.items())
 
 
+def _pivot_on(rows, c):
+    """Euclid on column c of sparse integer rows, in place: the rows with an
+    entry there are reduced, to the nearest remainder, by the one with the
+    smallest entry (then fewest entries) until one is left.  Returns it, or
+    None, and the nonzero rows without an entry at c."""
+    hit, rest = [r for r in rows if c in r], [r for r in rows if c not in r]
+    while len(hit) > 1:
+        hit.sort(key=lambda r: (abs(r[c]), len(r)))
+        base, *others = hit
+        hit = [base]
+        for r in others:
+            q, rem = divmod(r[c], base[c])
+            _subtract(r, q + (2 * abs(rem) > abs(base[c])), base)
+            if c in r:
+                hit.append(r)
+            elif r:
+                rest.append(r)
+    return (hit[0] if hit else None), rest
+
+
+def _hermite(rows):
+    """Row Hermite normal form of nonzero sparse integer rows, in pivot
+    order: each pivot positive, the entries above it in [0, pivot)."""
+    out = []
+    while rows:
+        c = min(map(min, rows))
+        p, rows = _pivot_on(rows, c)
+        if p[c] < 0:
+            p = {k: -x for k, x in p.items()}
+        for h in out:
+            q = h.get(c, 0) // p[c]
+            if q:
+                _subtract(h, q, p)
+        out.append(p)
+    return out
+
+
 def integer_kernel_basis(rows, ncols):
     """Canonical basis of the saturated lattice {x in Z^n : A x = 0}.
 
-    Row-reduce [A^T | I] to Hermite normal form; rows whose left block
-    vanishes carry a basis of the kernel in their right block.  Those
-    rows come last and are already in Hermite form among themselves,
-    which is unique, so the result is too.  The rows of A are
-    eliminated smallest entries first, since a large row eliminated
-    early blows up the entries of the identity block.  The order cannot
-    change the result: the kernel lattice, and so its Hermite form, does
-    not depend on it (Cohen, A Course in Computational Algebraic Number
-    Theory, 2.4).
+    [A^T | I] is kept as sparse rows, one per column of A, with I in
+    columns 0..n-1 and A's rows after it.  Each of A's rows is cleared by
+    Euclid on the rows with an entry there, and the row left holding it
+    is dropped; the rest lie in I's columns, and hnf_rows brings them to
+    Hermite form.  A's rows go smallest entries first, since a large
+    one eliminated early blows up the identity block.  The kernel, and so
+    its Hermite form, does not depend on the order (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.4).
     """
-    rows = sorted((list(r) for r in rows), key=lambda r: max(map(abs, r), default=0))
-    m = len(rows)
-    aug = []
-    for i in range(ncols):
-        aug.append([rows[k][i] for k in range(m)] + [int(i == j) for j in range(ncols)])
-    reduced = hnf_rows(aug, m + ncols)
-    return [row[m:] for row in reduced if not any(row[:m])]
+    rows = sorted((_sparse(r, int) for r in rows), key=lambda r: max(map(abs, r.values()), default=0))
+    aug = [{i: 1} for i in range(ncols)]
+    for k, row in enumerate(rows, ncols):
+        for i, x in row.items():
+            aug[i][k] = x
+    for k in range(ncols, ncols + len(rows)):
+        aug = _pivot_on(aug, k)[1]
+    return hnf_rows(aug, ncols)
 
 
 # Former name of the routine above, kept because the benchmark's layer
@@ -137,31 +180,10 @@ integer_kernel_hnf = integer_kernel_basis
 
 
 def hnf_rows(vectors, ncols):
-    """Row Hermite normal form of an integer row set (zero rows dropped)."""
-    rows = [list(map(int, v)) for v in vectors]
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, len(rows)) if rows[i][c]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(rows[i][c]))
-            base = nz[0]
-            for i in nz[1:]:
-                q = rows[i][c] // rows[base][c]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[base])]
-        nz = [i for i in range(r, len(rows)) if rows[i][c]]
-        if not nz:
-            continue
-        rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return [row for row in rows[:r]]
+    """Row Hermite normal form, as dense rows of length ncols, of integer
+    rows given dense or as {column: value} mappings (zero rows dropped)."""
+    rows = [r for r in (_sparse(v, int) for v in vectors) if r]
+    return [[h.get(c, 0) for c in range(ncols)] for h in _hermite(rows)]
 
 
 # Lovasz constant of lll_reduce, as numerator and denominator of 99/100

@@ -23,8 +23,9 @@ units: degree zero leaves f = 1 at a branch at infinity, q - x > 0
 leaves no zero or pole at a finite branch q, the value rows make the
 values agree, and the jet rows make the centered jets vanish through
 each conductor, past which validate proves the ideal holds every
-power.  So a draw is not certified; div_C is.  A build tries up to three pool sizes and keeps the first with MIN_KERNEL
-vectors within LENGTH_BUDGET or twice that, else the best-scored one.
+power.  So a draw is not certified; div_C is.  A build tries up to
+three pool sizes and keeps the first with MIN_KERNEL vectors within
+LENGTH_BUDGET or twice that, else the best-scored one.
 """
 
 from fractions import Fraction

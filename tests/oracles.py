@@ -18,10 +18,13 @@ RatFunc's shortcuts past Euclid, and DenseRowSpan is the reference for
 the sparse RowSpan of linalg.  random_congruent_function and
 symbol_sum_over_divisor make the randomized certificate that the local
 modulus criterion of symbols.is_modulus is tested against.
-integer_kernel_reference (one Hermite pass over [A^T | I] with A's rows
-in the order given, through linalg.hnf_rows) is the reference for
-linalg.integer_kernel_basis, which eliminates the small rows first, and
-for the sampler's kernel of its small rows and then its jet rows.
+hnf_rows_reference (the dense Hermite pass, column by column) is the
+reference for linalg.hnf_rows, which eliminates on sparse rows, and
+integer_kernel_reference (one dense Hermite pass over [A^T | I] with A's
+rows in the order given, through hnf_rows_reference) is the reference
+for linalg.integer_kernel_basis, which eliminates the small rows first
+on sparse rows, and for the sampler's kernel of its small rows and then
+its jet rows.
 lll_reduce_reference (LLL over Fraction Gram-Schmidt data) and
 l1_sweep_reference (the unpruned sweep) are the reference path for
 linalg.lll_reduce and the sampler's kernel basis.
@@ -55,7 +58,7 @@ from albx.chow import certify_cartier
 from albx.curve import Divisor, _closure_span, validate
 from albx.errors import NotCartierError, UndefinedValuationError
 from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor
-from albx.linalg import RowSpan, hnf_rows, integer_kernel_basis
+from albx.linalg import RowSpan, integer_kernel_basis
 from albx.symbols import residue_symbol, tame_symbol
 
 
@@ -472,12 +475,44 @@ def closure_verdict_reference(sp, truncation):
     return dense_rows(span)
 
 
+def hnf_rows_reference(vectors, ncols):
+    """Row Hermite normal form on dense rows (zero rows dropped), the
+    reference for linalg.hnf_rows: column by column, Euclid on the rows
+    below the pivots, the pivot made positive and the rows above it
+    reduced into [0, pivot)."""
+    rows = [list(map(int, v)) for v in vectors]
+    r = 0
+    for c in range(ncols):
+        while True:
+            nz = [i for i in range(r, len(rows)) if rows[i][c]]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda i: abs(rows[i][c]))
+            base = nz[0]
+            for i in nz[1:]:
+                q = rows[i][c] // rows[base][c]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[base])]
+        nz = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not nz:
+            continue
+        rows[r], rows[nz[0]] = rows[nz[0]], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return rows[:r]
+
+
 def integer_kernel_reference(rows, ncols):
-    """Hermite basis of {x in Z^n : A x = 0}: [A^T | I] reduced in one pass,
-    A's rows in the order given; the rows whose left block vanishes."""
+    """Hermite basis of {x in Z^n : A x = 0}: the dense [A^T | I] reduced in
+    one pass by hnf_rows_reference, A's rows in the order given; the rows
+    whose left block vanishes."""
     m = len(rows)
     aug = [[row[i] for row in rows] + [int(i == j) for j in range(ncols)] for i in range(ncols)]
-    return [row[m:] for row in hnf_rows(aug, m + ncols) if not any(row[:m])]
+    return [row[m:] for row in hnf_rows_reference(aug, m + ncols) if not any(row[:m])]
 
 
 def etale_kernel_reference(config):

@@ -9,6 +9,7 @@ import sympy
 from oracles import (
     as_primitive_int,
     dense_rows,
+    hnf_rows_reference,
     integer_combination,
     integer_kernel_reference,
     lll_reduce_reference,
@@ -85,11 +86,11 @@ def test_integer_kernel_saturated():
     assert integer_kernel_basis([[2, -2]], 2) == [[1, 1]]
 
 
-def _mixed_rows(rng, ncols, count, bits):
-    """count rows of ncols entries, a third of them zero, the rest of
-    bit lengths drawn from bits, with random signs."""
+def _mixed_rows(rng, ncols, count, bits, zeros=0.3):
+    """count rows of ncols entries, each zero with probability zeros, the
+    rest odd, of bit lengths drawn from bits, with random signs."""
     return [
-        [0 if rng.random() < 0.3 else rng.choice((1, -1)) * (rng.getrandbits(rng.randint(*bits)) | 1)
+        [0 if rng.random() < zeros else rng.choice((1, -1)) * (rng.getrandbits(rng.randint(*bits)) | 1)
          for _ in range(ncols)]
         for _ in range(count)
     ]
@@ -122,6 +123,56 @@ def test_kernels_match_one_pass_reference():
         seen["empty kernel"] += not expected
         seen["large rows" if large else "no large rows"] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def _as_mappings(rows):
+    return [{i: x for i, x in enumerate(row) if x} for row in rows]
+
+
+def test_kernels_match_dense_reference_at_sampler_shape():
+    """integer_kernel_basis and hnf_rows, given dense rows and given
+    {column: value} mappings, against the dense one-pass references at
+    the sampler's shape: up to 80 columns, 70% of the entries zero, rows
+    of 1-3 bits mixed with rows of 40-180 bits."""
+    rng = random.Random(25)
+    seen = {"rank-deficient": 0, "empty kernel": 0, "large rows": 0, "over 40 columns": 0}
+    entries = zeros = 0
+    for case in range(1000):
+        ncols = rng.randint(41, 80) if case % 4 == 2 else rng.randint(1, 14 if case % 4 == 0 else 40)
+        wide = ncols > 40
+        small = _mixed_rows(rng, ncols, rng.randint(0, 6), (1, 3), zeros=0.7)
+        large = _mixed_rows(rng, ncols, rng.randint(0, 1 if wide else 2), (40, 180), zeros=0.7)
+        rows = small + large
+        if case % 4 == 0:
+            # an empty kernel: a triangular block with an odd diagonal, its
+            # columns shuffled, under the rows already drawn
+            order = rng.sample(range(ncols), ncols)
+            for k, c in enumerate(order):
+                row = _mixed_rows(rng, ncols, 1, rng.choice(((1, 3), (40, 180))), zeros=0.7)[0]
+                for d in order[:k]:
+                    row[d] = 0
+                row[c] = rng.choice((1, -1)) * (rng.getrandbits(rng.randint(1, 3)) | 1)
+                rows.append(row)
+        elif case % 4 == 1 and rows:
+            # one or two combinations of the rows already drawn
+            for _ in range(rng.randint(1, 2)):
+                weights = [rng.randint(-2, 2) for _ in rows]
+                rows.append([sum(w * row[i] for w, row in zip(weights, rows)) for i in range(ncols)])
+        rng.shuffle(rows)
+        expected = integer_kernel_reference(rows, ncols)
+        assert integer_kernel_basis(rows, ncols) == expected, rows
+        assert integer_kernel_basis(_as_mappings(rows), ncols) == expected, rows
+        hermite = hnf_rows_reference(rows, ncols)
+        assert hnf_rows(rows, ncols) == hermite, rows
+        assert hnf_rows(_as_mappings(rows), ncols) == hermite, rows
+        seen["rank-deficient"] += len(rows) > ncols - len(expected)
+        seen["empty kernel"] += not expected
+        seen["large rows"] += any(abs(x).bit_length() > 3 for row in rows for x in row)
+        seen["over 40 columns"] += wide
+        entries += ncols * len(rows)
+        zeros += sum(row.count(0) for row in rows)
+    assert min(seen.values()) >= 100, seen
+    assert zeros >= 0.6 * entries
 
 
 def test_hnf_rows_canonical():

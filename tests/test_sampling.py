@@ -7,7 +7,13 @@ import sys
 
 import pytest
 
-from oracles import is_cartier_unit, l1_sweep_reference, lll_reduce_reference
+from oracles import (
+    hnf_rows_reference,
+    integer_kernel_reference,
+    is_cartier_unit,
+    l1_sweep_reference,
+    lll_reduce_reference,
+)
 
 import albx
 from albx import chow, fixtures, funcfield, sampling
@@ -161,9 +167,10 @@ def _sampler_record(cfg):
 
 
 def test_sampler_matches_reference_path(whole_zoo, monkeypatch):
-    """Integral LLL and the pruned sweep build the sampler that LLL over
-    Fraction and the unpruned sweep build: same columns, basis, degree
-    cap and draws."""
+    """The sparse kernel and Hermite eliminations, integral LLL and the
+    pruned sweep build the sampler that the dense one-pass eliminations,
+    LLL over Fraction and the unpruned sweep build: same columns, basis,
+    degree cap and draws."""
     curves = list(whole_zoo.values())
     for points in (
         [(0, 2), (1, 2)],
@@ -174,20 +181,33 @@ def test_sampler_matches_reference_path(whole_zoo, monkeypatch):
     ):
         curves.append(modulus_curve([(Place("C0", c), n) for c, n in points]))
     fast = [_sampler_record(cfg) for cfg in curves]
+    monkeypatch.setattr(sampling, "integer_kernel_basis", integer_kernel_reference)
+    monkeypatch.setattr(sampling, "hnf_rows", hnf_rows_reference)
     monkeypatch.setattr(sampling, "lll_reduce", lll_reduce_reference)
     monkeypatch.setattr(sampling, "_l1_sweep", l1_sweep_reference)
     assert fast == [_sampler_record(cfg) for cfg in curves]
 
 
 def test_l1_sweep_matches_unpruned():
+    """The pruned sweep takes the unpruned sweep's steps, on dense
+    vectors up to 10 wide and on vectors up to 80 wide with most entries
+    zero, where supports overlap in part or not at all."""
     rng = random.Random(10)
-    for _ in range(300):
-        n, m = rng.randint(1, 8), rng.randint(1, 10)
+    seen = {"disjoint pair": 0, "partial overlap": 0}
+    for case in range(600):
+        sparse = case % 2
+        n, m = rng.randint(1, 16 if sparse else 8), rng.randint(1, 80 if sparse else 10)
         h = rng.choice((1, 3, 20))
-        basis = [[rng.randint(-h, h) for _ in range(m)] for _ in range(n)]
+        zeros = rng.choice((0.6, 0.8, 0.95)) if sparse else 0
+        basis = [[0 if rng.random() < zeros else rng.randint(-h, h) for _ in range(m)] for _ in range(n)]
         basis = [v for v in basis if any(v)]
+        supports = [{k for k, x in enumerate(v) if x} for v in basis]
+        pairs = [(s, t) for s in supports for t in supports if s is not t]
+        seen["disjoint pair"] += any(s.isdisjoint(t) for s, t in pairs)
+        seen["partial overlap"] += any(s & t and s != t for s, t in pairs)
         want = l1_sweep_reference([list(v) for v in basis])
         assert sampling._l1_sweep(basis) == want
+    assert min(seen.values()) >= 100, seen
 
 
 def test_criterion_4_path_finds_no_roots(whole_zoo, monkeypatch):
