@@ -35,6 +35,7 @@ from .funcfield import (
     evaluate,
     expand_at,
     format_coordinate,
+    leading_term,
     parse_coordinate,
     split_divisor,
 )
@@ -89,8 +90,9 @@ def check_cycle_support(cycle, config):
 
 def certify_cartier(funcs, config):
     """Check the unit condition at every singular point, reading each
-    branch q through its conductor c_q.  The centered jets go to the
-    point's span as one sparse row on the jet_column layout.
+    branch q through its conductor c_q, by leading_term when c_q = 0.
+    The centered jets go to the point's span as one sparse row on the
+    jet_column layout.
 
     Returns None; raises NotCartierError with the branch and reason on
     failure.
@@ -107,12 +109,16 @@ def certify_cartier(funcs, config):
     for sp in config.singular_points:
         values, jets = [], {}
         for i, (q, c) in enumerate(zip(sp.branches, sp.conductors)):
-            series = expand_at(funcs[q.component], q, c)
-            if series.lead_bound() != 0:
+            if c:
+                series = expand_at(funcs[q.component], q, c)
+                v, value = series.lead_bound(), series.coefficient(0)
+                # the jets u^1..u^c, which centering at the value leaves alone
+                jets.update((jet_column(sp, i, e), x) for e, x in series.coeffs.items() if e)
+            else:  # no jets to read: the branch value alone
+                v, value = leading_term(funcs[q.component], q)
+            if v != 0:
                 raise NotCartierError(f"function has a zero or pole at branch {q!r}")
-            values.append(series.coefficient(0))
-            # the jets u^1..u^c, which centering at the value leaves alone
-            jets.update((jet_column(sp, i, e), x) for e, x in series.coeffs.items() if e)
+            values.append(value)
         if any(v != values[0] for v in values[1:]):
             raise NotCartierError(
                 f"branch values at {sp.name} disagree: "
@@ -265,8 +271,11 @@ def abel_jacobi(cycle, config, alb):
     bad = {c: d for c, d in degrees.items() if d}
     if bad:
         raise DegreeError(f"cycle has nonzero degree: {bad}")
-    finite = [(p.component, p.coordinate.numerator, p.coordinate.denominator, m)
-              for p, m in cycle.items() if not p.is_infinite()]
+    finite = {}  # component -> (numerator, denominator, m) of its finite points
+    for p, m in cycle.items():
+        if not p.is_infinite():
+            a = p.coordinate
+            finite.setdefault(p.component, []).append((a.numerator, a.denominator, m))
     torus = []
     for i, omega in enumerate(alb.etale_basis):
         num = den = num_bits = den_bits = 1
@@ -274,16 +283,15 @@ def abel_jacobi(cycle, config, alb):
             if q.is_infinite():
                 continue
             qn, qd = q.coordinate.numerator, q.coordinate.denominator
-            for comp, an, ad, m in finite:
-                if comp == q.component:
-                    x, y, e = qn * ad - an * qd, qd * ad, m * w
-                    if e < 0:
-                        x, y, e = y, x, -e
-                    num_bits += e * (abs(x) - 1).bit_length()
-                    den_bits += e * (abs(y) - 1).bit_length()
-                    if num_bits > MAX_HEIGHT or den_bits > MAX_HEIGHT:
-                        raise InputError(f"torus coordinate {i} would pass {MAX_HEIGHT} bits")
-                    num, den = num * x**e, den * y**e
+            for an, ad, m in finite.get(q.component, ()):
+                x, y, e = qn * ad - an * qd, qd * ad, m * w
+                if e < 0:
+                    x, y, e = y, x, -e
+                num_bits += e * (abs(x) - 1).bit_length()
+                den_bits += e * (abs(y) - 1).bit_length()
+                if num_bits > MAX_HEIGHT or den_bits > MAX_HEIGHT:
+                    raise InputError(f"torus coordinate {i} would pass {MAX_HEIGHT} bits")
+                num, den = num * x**e, den * y**e
         torus.append(Fraction(num, den))
     lie = sorted({q.component for delta in alb.lie_basis for q in delta.places()})
     funcs = {comp: interpolate_divisor(cycle, comp) for comp in lie}

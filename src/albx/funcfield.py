@@ -84,25 +84,35 @@ def format_coordinate(coord):
 
 
 class Place(Frozen):
-    """A Q-rational point of one projective-line component."""
+    """A Q-rational point of one projective-line component.  A finite
+    place hashes as (component, numerator, denominator), and sort_key
+    gives an integral coordinate as an int, so neither runs Fraction's
+    pure-Python methods; the order is (component, is infinite, coordinate).
+    """
 
     __slots__ = ("component", "coordinate", "_hash")
     _cached = ("_hash",)  # str hashes are salted per process
 
     def __init__(self, component, coordinate):
-        object.__setattr__(self, "component", str(component))
-        if coordinate is not INF and type(coordinate) is not Fraction:
-            coordinate = Fraction(coordinate)  # a Fraction is kept, not copied
+        component = str(component)
+        if coordinate is INF:
+            key = component, INF
+        else:
+            if type(coordinate) is not Fraction:
+                coordinate = Fraction(coordinate)  # a Fraction is kept, not copied
+            key = component, coordinate.numerator, coordinate.denominator
+        object.__setattr__(self, "component", component)
         object.__setattr__(self, "coordinate", coordinate)
-        object.__setattr__(self, "_hash", hash((self.component, coordinate)))
+        object.__setattr__(self, "_hash", hash(key))
 
     def is_infinite(self):
         return self.coordinate is INF
 
     def sort_key(self):
-        if self.coordinate is INF:
-            return (self.component, 1, Fraction(0))
-        return (self.component, 0, self.coordinate)
+        a = self.coordinate
+        if a is INF:
+            return (self.component, 1, 0)
+        return (self.component, 0, a.numerator if a.denominator == 1 else a)
 
     def __eq__(self, other):
         return (
@@ -115,7 +125,7 @@ class Place(Frozen):
         try:
             return self._hash
         except AttributeError:  # a copied or unpickled place
-            object.__setattr__(self, "_hash", hash((self.component, self.coordinate)))
+            object.__setattr__(self, "_hash", Place(self.component, self.coordinate)._hash)
             return self._hash
 
     def __repr__(self):
@@ -628,6 +638,8 @@ def _factored_local(scale, roots, exponents, a, n):
     prod (1 + m x)^e = sum d_k x^k has integer coefficients and c_k =
     c_0 d_k / W^k.  Newton's identity gives them from the power sums
     P_i = sum e m^i: k d_k = sum_(i<=k) (-1)^(i+1) P_i d_(k-i), exactly.
+    When only the value is asked for (n None), the (a - b, e) pairs that
+    the jets need are not kept.
     """
     if a is INF:
         v, c0 = -sum(exponents), scale
@@ -643,7 +655,8 @@ def _factored_local(scale, roots, exponents, a, n):
                 top, bottom = top * x**e, bottom * y**e
             else:
                 top, bottom = top * y**-e, bottom * x**-e
-            others.append((x, y, e))
+            if n is not None:
+                others.append((x, y, e))
         c0 = Fraction(top, bottom)
     k = 0 if n is None else max(n - v, 0)
     if k == 0:

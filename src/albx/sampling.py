@@ -263,21 +263,23 @@ class CartierUnitSampler:
 
     def draw(self, rng):
         """One random unit tuple of degree at most max_unit_degree, a nonzero
-        combination of kernel vectors and so a unit without a certificate."""
+        combination of kernel vectors and so a unit without a certificate.
+        Only each weighted vector's nonzero entries are added, and the
+        columns are walked once to share the factors out by component."""
         for _ in range(DRAW_ATTEMPTS):
             weights = [rng.randint(-2, 2) for _ in self.basis]
             expo = [0] * len(self.columns)
             for w, b in zip(weights, self.basis):
                 if w:
-                    expo = [e + w * x for e, x in zip(expo, b)]
+                    for i, x in enumerate(b):
+                        if x:
+                            expo[i] += w * x
             if not any(expo) or _l1(expo) > self.max_unit_degree:
                 continue
-            return {
-                comp: RatFunc.from_factors(
-                    [(x, e) for (c, x), e in zip(self.columns, expo) if c == comp and e],
-                    component=comp,
-                )
-                for comp in self.config.components
-            }
+            factors = {comp: [] for comp in self.config.components}
+            for (c, x), e in zip(self.columns, expo):
+                if e:
+                    factors[c].append((x, e))
+            return {comp: RatFunc.from_factors(fs, component=comp) for comp, fs in factors.items()}
         raise InputError("could not sample a Cartier unit; pool too small")
 

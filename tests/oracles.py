@@ -44,7 +44,9 @@ call of the package's closure: the reference for chow.certify_cartier,
 which reads each branch only through its conductor, against the span
 that validate keeps modulo the conductor.  lift_to_truncation carries
 that span back to the truncation order, for the tests written against
-the span through N.  is_cartier_unit is chow.certify_cartier as a
+the span through N.  torus_reference evaluates dense interpolants at the
+branch places: the reference for the integer torus coordinates of
+chow.abel_jacobi.  is_cartier_unit is chow.certify_cartier as a
 predicate, for the tests.
 """
 
@@ -730,6 +732,29 @@ def certify_cartier_reference(funcs, config):
             raise NotCartierError(
                 f"centered jets at {sp.name} are not in the local ring (mod conductor)"
             )
+
+
+def torus_reference(cycle, etale_basis):
+    """The Abel-Jacobi torus coordinates of a degree-0 cycle: for each
+    lattice divisor w, prod f_c(q)^(w_q) over its branch places q, with
+    f_c the dense interpolant prod (t - a)^m of the cycle's finite points
+    on q's component, read by leading_term_reference (1 at infinity, as
+    it is monic over monic of one degree)."""
+    torus = []
+    for omega in etale_basis:
+        value = F(1)
+        for q, w in omega.items():
+            f = from_factors_reference(
+                [(p.coordinate, m) for p, m in cycle.items()
+                 if p.component == q.component and not p.is_infinite()],
+                component=q.component,
+            )
+            v, c = leading_term_reference(f, q)
+            if v:
+                raise ValueError(f"interpolant has a zero or pole at {q!r}")
+            value *= c**w
+        torus.append(value)
+    return torus
 
 
 def is_cartier_unit(funcs, config):

@@ -8,7 +8,12 @@ import time
 
 import pytest
 
-from oracles import is_cartier_unit
+from oracles import (
+    certify_cartier_reference,
+    is_cartier_unit,
+    leading_term_reference,
+    torus_reference,
+)
 
 import albx
 from albx.chow import (
@@ -24,7 +29,7 @@ from albx.chow import (
 from albx.curve import degree_per_component
 from albx.errors import DegreeError, InputError, NotCartierError
 from albx.fixtures import line_chain, modulus_curve, zoo
-from albx.funcfield import INF, Place, Poly, RatFunc, dlog, expand_at
+from albx.funcfield import INF, Place, Poly, RatFunc, dlog, expand_at, leading_term
 from albx.infdiv import FormalGroupData
 from albx.motive import albanese
 from albx.sampling import CartierUnitSampler, random_rational, random_zero_cycle
@@ -323,6 +328,73 @@ def test_abel_jacobi_matches_pairing_of_interpolants():
         seen["torus"] += any(x != 1 for x in point.torus)
         seen["lie"] += any(point.vectorial)
     assert min(seen.values()) >= 50, seen
+
+
+def _verdict(certify, funcs, cfg):
+    try:
+        certify(funcs, cfg)
+    except NotCartierError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(unit, cfg, rng):
+    """unit with one component's function scaled, or one exponent moved by
+    +-1 (the exponent 0 of t + 100 when the function has no factor)."""
+    comp = rng.choice(cfg.components)
+    scale, roots, exponents = unit[comp].factors
+    factors = list(zip(roots, exponents)) or [(F(-100), 0)]
+    if rng.random() < 0.5:
+        scale *= rng.choice((2, F(-1, 3), 5))
+    else:
+        j = rng.randrange(len(factors))
+        factors[j] = (factors[j][0], factors[j][1] + rng.choice((-1, 1)))
+    return {**unit, comp: RatFunc.from_factors(factors, scale, comp)}
+
+
+def test_ordinary_point_reads_match_references():
+    """certify_cartier reads a conductor-0 branch by its value alone,
+    leading_term reads a factored function's value without its jets, and
+    abel_jacobi forms the torus coordinates in integers.  On 1,040 seeded
+    draws over eight curves, a quarter of them perturbed into non-units,
+    each must agree with the reference: the verdict and error text of
+    certify_cartier_reference (factored and dense), the leading term of
+    the dense function at a branch place and at one other place, and the
+    torus coordinates from dense interpolants."""
+    curves = zoo()
+    curves["chain"] = line_chain(3, ["ordinary"] * 2)
+    curves["triangle"] = line_chain(3, ["ordinary"] * 3)
+    curves["2[0]+2[1]"] = modulus_curve([(Place("C0", 0), 2), (Place("C0", 1), 2)])
+    rng = random.Random(2603)
+    seen = dict.fromkeys(("unit", "values disagree", "zero or pole", "jets", "pole read"), 0)
+    for name, cfg in curves.items():
+        sampler = CartierUnitSampler(cfg)
+        lattice = FormalGroupData(albanese(cfg).etale_basis)
+        branches = sorted(cfg.branch_place_set(), key=Place.sort_key)
+        for k in range(1040 // len(curves)):
+            unit = sampler.draw(rng)
+            funcs = _perturbed(unit, cfg, rng) if k % 4 == 0 else unit
+            want = _verdict(certify_cartier_reference, funcs, cfg)
+            assert _verdict(certify_cartier, funcs, cfg) == want, (name, funcs)
+            if k % 2:
+                dense = {c: f.dense() for c, f in funcs.items()}
+                assert _verdict(certify_cartier, dense, cfg) == want, (name, funcs)
+            seen["unit" if want is None else
+                 "values disagree" if "disagree" in want else
+                 "zero or pole" if "zero or pole" in want else "jets"] += 1
+            f = funcs[rng.choice(cfg.components)]
+            _, roots, _ = f.factors
+            others = [Place(f.component, INF), Place(f.component, random_rational(rng, 30))]
+            others += [Place(f.component, a) for a in roots[:1]]
+            for p in [q for q in branches if q.component == f.component][:1] + [rng.choice(others)]:
+                assert leading_term(f, p) == leading_term_reference(f.dense(), p), (name, f, p)
+                seen["pole read"] += leading_term(f, p)[0] < 0
+            if want is None:
+                cycle = div_C(funcs, cfg)
+                assert list(abel_jacobi(cycle, cfg, lattice).torus) == torus_reference(
+                    cycle, lattice.etale_basis
+                ), (name, cycle)
+    assert min(seen.values()) >= 10, seen
 
 
 # --- equivalence decision -------------------------------------------------------------

@@ -1,4 +1,7 @@
+import copy
 from fractions import Fraction as F
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,9 @@ from albx.funcfield import (
     dlog,
     evaluate,
     expand_at,
+    format_coordinate,
     leading_term,
+    parse_coordinate,
     rational_roots,
     residue,
     split_divisor,
@@ -60,6 +65,63 @@ def test_place_identity_and_order():
     ordered = sorted([PINF, P1, P0], key=Place.sort_key)
     assert ordered == [P0, P1, PINF]
     assert repr(PINF) == "C0:inf"
+
+
+def seeded_places(rng, count):
+    """count places on three components: a coordinate is inf, an integer
+    (negative ones too) or n + j/k with 0 < j < k, so many share a floor."""
+    out = []
+    for _ in range(count):
+        comp = rng.choice(("C0", "C1", "L2"))
+        n, kind = rng.randint(-6, 6), rng.randrange(8)
+        if kind == 0:
+            a = INF
+        elif kind < 4:
+            a = F(n)
+        else:
+            k = rng.randint(2, 7)
+            a = n + F(rng.randint(1, k - 1), k)
+        out.append(Place(comp, a))
+    return out
+
+
+def test_place_hash_and_order_on_seeded_places():
+    rng = random.Random(2601)
+    places = seeded_places(rng, 1000)
+    assert {p.is_infinite() for p in places} == {True, False}
+    assert {p.coordinate.denominator for p in places if not p.is_infinite()} > {1, 2}
+
+    # sort_key orders as (component, is infinite, Fraction coordinate)
+    def plain(p):
+        return p.component, p.is_infinite(), F(0) if p.is_infinite() else p.coordinate
+
+    assert sorted(places, key=Place.sort_key) == sorted(places, key=plain)
+    for p in places:
+        integral = not p.is_infinite() and p.coordinate.denominator == 1
+        assert type(p.sort_key()[2]) is (int if integral or p.is_infinite() else F)
+
+    # one place built from an int, an unreduced Fraction and a parsed literal
+    for p in places:
+        a, k = p.coordinate, rng.randint(2, 9)
+        twins = [Place(p.component, parse_coordinate(format_coordinate(a)))]
+        if not p.is_infinite():
+            twins.append(Place(p.component, F(a.numerator * k, a.denominator * k)))
+            if a.denominator == 1:
+                twins.append(Place(p.component, a.numerator))
+        for twin in twins:
+            assert twin == p and hash(twin) == hash(p)
+    distinct = {(p.component, p.coordinate) for p in places}
+    assert len(set(places)) == len(distinct)
+
+    # copies keep equality and hash
+    for copied in (
+        [copy.copy(p) for p in places],
+        copy.deepcopy(places),
+        pickle.loads(pickle.dumps(places)),
+    ):
+        assert copied == places
+        assert [hash(p) for p in copied] == [hash(p) for p in places]
+        assert set(copied) == set(places)
 
 
 def test_poly_arithmetic():

@@ -280,6 +280,45 @@ def test_criterion_4_path_builds_no_dense_unit(whole_zoo, monkeypatch):
         assert all(any(b[1] is f[1] for f in interpolants) for b in built), name
 
 
+def set_slots(obj):
+    """The slots of obj that are set, read past __getattr__; obj has no
+    __dict__."""
+    assert not hasattr(obj, "__dict__")
+    names = {n for cls in type(obj).__mro__ for n in vars(cls).get("__slots__", ())}
+    out = set()
+    for n in names:
+        try:
+            object.__getattribute__(obj, n)
+        except AttributeError:
+            continue
+        out.add(n)
+    return out
+
+
+def test_criterion_4_path_keeps_nothing_extra(whole_zoo):
+    """A caller that keeps every unit, cycle and point it is given (the
+    benchmark does) pays for each byte cached on them once per op: after
+    draw -> div_C -> abel_jacobi, and the reads of repr and hash, each value
+    holds only the slots that define it, and the sampler gains nothing."""
+    rng = random.Random(2602)
+    for name, cfg in whole_zoo.items():
+        sampler, alb = CartierUnitSampler(cfg), albanese(cfg)
+        before = dict(vars(sampler))
+        for _ in range(5):
+            unit = sampler.draw(rng)
+            cycle = div_C(unit, cfg)
+            point = abel_jacobi(cycle, cfg, alb)
+            repr((unit, cycle, point)), hash(cycle), hash(point)
+            for f in unit.values():
+                assert set_slots(f) == {"component", "factors"}, name
+            assert set_slots(cycle) == {"_coeffs"}, name
+            for p in cycle.places():
+                assert set_slots(p) == {"component", "coordinate", "_hash"}, name
+            assert set_slots(point) == {"torus", "vectorial"}, name
+        assert vars(sampler).keys() == before.keys(), name
+        assert all(vars(sampler)[k] is v for k, v in before.items()), name
+
+
 def test_two_tacnode_chain_builds():
     """Two lines glued by two tacnodes: the build runs all three pool rounds,
     of 40, 80 and 160 columns, and keeps the first round's basis, the one

@@ -23,7 +23,9 @@ chow.certify_cartier and infdiv.lie_kernel.  No module calls json.dump
 or json.dumps with an indent, which runs the pure-Python encoder: the
 reports go through cli's own writer.  Only frozen.py defines
 __setattr__, __delattr__ or __reduce__: every immutable type takes
-them from frozen.Frozen.
+them from frozen.Frozen.  No module reads a Fraction's private
+_numerator or _denominator: the public numerator and denominator are
+the interface, and the private names are CPython's fractions internals.
 """
 
 import ast
@@ -272,5 +274,18 @@ def test_only_frozen_defines_the_immutability_protocol():
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef)
         and node.name in ("__setattr__", "__delattr__", "__reduce__")
+    ]
+    assert not found, found
+
+
+def test_no_private_fraction_fields():
+    # an attribute read, or a name given to getattr or operator.attrgetter
+    private = ("_numerator", "_denominator")
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in private
+        or isinstance(node, ast.Constant) and node.value in private
     ]
     assert not found, found
