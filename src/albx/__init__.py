@@ -52,6 +52,6 @@ from .motive import (
     linear_group,
     one_motive,
 )
-from .symbols import is_modulus, reciprocity_check, residue_symbol, tame_symbol
+from .symbols import is_modulus, reciprocity_check, residue_symbol, symbol_law, tame_symbol
 
 __version__ = "0.1.0"

@@ -31,9 +31,8 @@ from .frozen import Frozen
 from .funcfield import (
     Place,
     RatFunc,
+    _local,
     dlog,
-    evaluate,
-    expand_at,
     format_coordinate,
     leading_term,
     parse_coordinate,
@@ -90,9 +89,10 @@ def check_cycle_support(cycle, config):
 
 def certify_cartier(funcs, config):
     """Check the unit condition at every singular point, reading each
-    branch q through its conductor c_q, by leading_term when c_q = 0.
-    The centered jets go to the point's span as one sparse row on the
-    jet_column layout.
+    branch q by one local form through its conductor c_q: the value is
+    its first coefficient and the jets u^1..u^c_q are the rest (none
+    when c_q = 0).  The centered jets go to the point's span as one
+    sparse row on the jet_column layout.
 
     Returns None; raises NotCartierError with the branch and reason on
     failure.
@@ -109,16 +109,12 @@ def certify_cartier(funcs, config):
     for sp in config.singular_points:
         values, jets = [], {}
         for i, (q, c) in enumerate(zip(sp.branches, sp.conductors)):
-            if c:
-                series = expand_at(funcs[q.component], q, c)
-                v, value = series.lead_bound(), series.coefficient(0)
-                # the jets u^1..u^c, which centering at the value leaves alone
-                jets.update((jet_column(sp, i, e), x) for e, x in series.coeffs.items() if e)
-            else:  # no jets to read: the branch value alone
-                v, value = leading_term(funcs[q.component], q)
+            v, (value, *tail) = _local(funcs[q.component], q, c or None)
             if v != 0:
                 raise NotCartierError(f"function has a zero or pole at branch {q!r}")
             values.append(value)
+            # the jets u^1..u^c, which centering at the value leaves alone
+            jets.update((jet_column(sp, i, e), x) for e, x in enumerate(tail, 1) if x)
         if any(v != values[0] for v in values[1:]):
             raise NotCartierError(
                 f"branch values at {sp.name} disagree: "
@@ -227,10 +223,11 @@ def albanese_pairing(funcs, alb):
     for omega in alb.etale_basis:
         value = Fraction(1)
         for q, m in omega.items():
-            fv = evaluate(funcs[q.component], q)
-            if fv == 0:
-                raise NotCartierError(f"function vanishes at branch place {q!r}")
-            value *= fv**m
+            v, c = leading_term(funcs[q.component], q)
+            if v:
+                what = "vanishes" if v > 0 else "has a pole"
+                raise NotCartierError(f"function {what} at branch place {q!r}")
+            value *= c**m
         torus.append(value)
     return AJPoint(torus, _lie_coordinates(funcs, alb.lie_basis))
 

@@ -27,7 +27,7 @@ from .errors import AlbxError, InputError
 from .funcfield import Place, RatFunc, parse_coordinate
 from .infdiv import divisor_group
 from .motive import OneMotive, albanese, base_points_for, dualize, linear_group
-from .symbols import reciprocity_check, residue_symbol, tame_symbol
+from .symbols import reciprocity_check, symbol_law
 from .verify import run_verify
 
 
@@ -312,12 +312,13 @@ def cmd_chow(args):
 
 
 def cmd_symbol(args):
-    tag = args.tag.lower()
+    tag = args.tag
+    symbol, identity, _ = symbol_law(tag)
     psi = parse_expression(args.psi)
     f = parse_expression(args.f)
     if args.point is not None:
         p = Place("C0", parse_coordinate(args.point))
-        value = tame_symbol(psi, f, p) if tag == "gm" else residue_symbol(psi, f, p)
+        value = symbol(psi, f, p)
         if args.format == "json":
             _write_json({
                 "tag": tag,
@@ -330,18 +331,19 @@ def cmd_symbol(args):
             _write_lines([f"({args.psi}, {args.f})_{args.point} [{tag}] = {format_rat(value)}"])
         return 0
     values, aggregate = reciprocity_check(psi, f, tag)
-    values = sorted(values.items(), key=lambda kv: kv[0].sort_key())
     if args.format == "json":
         _write_json({
             "tag": tag,
             "psi": args.psi,
             "f": args.f,
-            "values": {repr(p): format_rat(v) for p, v in values},
+            "values": {repr(p): format_rat(v) for p, v in values.items()},
             "aggregate": format_rat(aggregate),
-            "ok": aggregate == (1 if tag == "gm" else 0),
+            "ok": aggregate == identity,
         })
     else:
-        lines = [f"({args.psi}, {args.f})_{p!r} [{tag}] = {format_rat(v)}" for p, v in values]
+        lines = [
+            f"({args.psi}, {args.f})_{p!r} [{tag}] = {format_rat(v)}" for p, v in values.items()
+        ]
         _write_lines(lines + [f"aggregate: {format_rat(aggregate)}"])
     return 0
 

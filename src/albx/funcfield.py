@@ -646,8 +646,8 @@ def _factored_local(scale, roots, exponents, a, n):
     else:
         r, q = a.numerator, a.denominator
         v, top, bottom, others = 0, scale.numerator, scale.denominator, []
-        for b, e in zip(roots, exponents):
-            x, y = r * b.denominator - b.numerator * q, q * b.denominator  # a - b = x / y
+        for (bn, bd), e in zip(map(Fraction.as_integer_ratio, roots), exponents):
+            x, y = r * bd - bn * q, q * bd  # a - b = x / y
             if not x:
                 v = e
                 continue
@@ -735,14 +735,6 @@ def leading_term(f, p):
     """(v, c) with f = c u^v + O(u^(v + 1)) in the local coordinate u at p, c != 0."""
     v, (c,) = _local(f, p)
     return v, c
-
-
-def evaluate(f, p):
-    """Value f(p) in Q; requires f finite at p (0 allowed)."""
-    v, c = leading_term(f, p)
-    if v < 0:
-        raise ZeroDivisionError(f"{f!r} has a pole at {p!r}")
-    return Fraction(0) if v > 0 else c
 
 
 def dlog(f, p, n):

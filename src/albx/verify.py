@@ -43,7 +43,7 @@ from .sampling import (
     random_split_ratfunc,
     random_zero_cycle,
 )
-from .symbols import reciprocity_check
+from .symbols import reciprocity_check, symbol_law
 
 
 class SuiteResult:
@@ -122,11 +122,11 @@ def suite_reciprocity(trials, seed):
     checks = 0
     for _ in range(trials):
         psi, f = random_split_ratfunc(rng), random_split_ratfunc(rng)
-        try:
-            reciprocity_check(psi, f, "gm")
-            reciprocity_check(psi, f, "ga")
-        except ArithmeticError as exc:
-            return SuiteResult("reciprocity", False, checks, str(exc))
+        for tag in ("gm", "ga"):
+            _, aggregate = reciprocity_check(psi, f, tag)
+            if aggregate != symbol_law(tag)[1]:
+                detail = f"reciprocity violated for tag {tag}: aggregate {aggregate}"
+                return SuiteResult("reciprocity", False, checks, detail)
         checks += 2
     return SuiteResult("reciprocity", True, checks)
 

@@ -26,7 +26,7 @@ from albx.chow import (
     interpolate_divisor,
     rationally_equivalent,
 )
-from albx.curve import degree_per_component
+from albx.curve import CurveConfig, SingularPoint, degree_per_component, validate
 from albx.errors import DegreeError, InputError, NotCartierError
 from albx.fixtures import line_chain, modulus_curve, zoo
 from albx.funcfield import INF, Place, Poly, RatFunc, dlog, expand_at, leading_term
@@ -186,6 +186,15 @@ def test_aj_support_guard(node):
         abel_jacobi(cyc("C0:0=+1,C0:5=-1"), node, alb)
 
 
+def test_albanese_pairing_names_a_branch_pole(node):
+    # a pole at a branch place ended in ZeroDivisionError, which is no AlbxError
+    alb = albanese(node)
+    with pytest.raises(NotCartierError, match="^function has a pole at branch place C0:0$"):
+        albanese_pairing({"C0": (T + 1) / T}, alb)
+    with pytest.raises(NotCartierError, match="^function vanishes at branch place C0:0$"):
+        albanese_pairing({"C0": T / (T + 1)}, alb)
+
+
 def test_aj_torus_coordinate_past_height_limit(node):
     # (2/3)^100000: rationally_equivalent formed 158,000-bit integers and
     # answered False; abel_jacobi refuses before the first power
@@ -196,6 +205,25 @@ def test_aj_torus_coordinate_past_height_limit(node):
         with pytest.raises(InputError, match="^torus coordinate 0 would pass 65536 bits$"):
             call(cycle, node, alb)
         assert time.perf_counter() - t0 < 1
+
+
+def test_aj_torus_bound_follows_the_sign_of_the_weight():
+    # 0 and 1 glued: the lattice vector has weights of both signs at finite
+    # places, so f(q)^w with w < 0 puts f(q)'s denominator on top.  With
+    # f = ((t - 2)/(t - 3))^n the two sides of f(0)/f(1) are bounded by
+    # 2n + 1 bits each, and their bounds read the wrong way round reach 3n + 1
+    sp = SingularPoint("p", (P0, Place("C0", 1)), "ordinary")
+    cfg = validate(CurveConfig(["C0"], [sp], 2))
+    alb = albanese(cfg)
+    (omega,) = alb.etale_basis
+    f = {q.coordinate: F(q.coordinate - 2, q.coordinate - 3) for q in omega.places()}
+    for n in (1, 7, 30000):
+        want = F(1)
+        for q, w in omega.items():
+            want *= f[q.coordinate] ** (n * w)
+        assert abel_jacobi(cyc(f"C0:2=+{n},C0:3=-{n}"), cfg, alb).torus == (want,)
+    with pytest.raises(InputError, match="^torus coordinate 0 would pass 65536 bits$"):
+        abel_jacobi(cyc("C0:2=+32768,C0:3=-32768"), cfg, alb)
 
 
 def test_aj_interpolant_past_degree_limit():
@@ -430,7 +458,6 @@ def test_equivalence_node_cross_ratio(node):
 def test_banana_curve_two_components():
     # two lines glued at two ordinary points: the receptor is Gm and the
     # Abel-Jacobi coordinate mixes both components
-    from albx.curve import CurveConfig, SingularPoint, validate
     from albx.infdiv import divisor_group
     from albx.sampling import CartierUnitSampler
 
@@ -452,7 +479,6 @@ def test_banana_curve_two_components():
 
 
 def test_two_lines_one_point_trivial_receptor():
-    from albx.curve import CurveConfig, SingularPoint, validate
     from albx.infdiv import divisor_group
 
     single = validate(

@@ -534,6 +534,34 @@ def test_symbol_reciprocity_table():
     assert data["values"]["C0:inf"] == "-1"
 
 
+def test_symbol_reports_a_broken_law(monkeypatch):
+    """A tame symbol that doubles its value at infinity, a place of every
+    table, breaks the product formula.  albx symbol prints the table with
+    "ok": false and exits 0, where it used to end in an ArithmeticError
+    traceback, and verify's reciprocity suite reports the failure."""
+    from albx import symbols
+    from albx.verify import suite_reciprocity
+
+    tame = symbols.tame_symbol
+    monkeypatch.setattr(
+        symbols, "tame_symbol", lambda psi, f, p: tame(psi, f, p) * (2 if p.is_infinite() else 1)
+    )
+    argv = ["symbol", "--tag", "gm", "--psi", "t", "--f", "t-1"]
+    for fmt in ("json", "text"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", fmt]) == 0
+        if fmt == "json":
+            data = json.loads(out.getvalue())
+            assert data["ok"] is False and data["aggregate"] == "2"
+            assert data["values"] == {"C0:0": "-1", "C0:1": "1", "C0:inf": "-2"}
+        else:
+            assert out.getvalue().endswith("[gm] = -2\naggregate: 2\n")
+    result = suite_reciprocity(5, 0)
+    assert (result.status, result.checks) == ("FAIL", 0)
+    assert result.detail == "reciprocity violated for tag gm: aggregate 2"
+
+
 def test_symbol_nonsplit_rejected():
     code, _, err = run_cli(["symbol", "--tag", "gm", "--psi", "t^2+1", "--f", "t"])
     assert code == 2

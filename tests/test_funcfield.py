@@ -21,7 +21,6 @@ from albx.funcfield import (
     Poly,
     RatFunc,
     dlog,
-    evaluate,
     expand_at,
     format_coordinate,
     leading_term,
@@ -302,11 +301,10 @@ def test_split_divisor():
 
 def test_evaluate_and_leading_coefficient():
     h = (T - 1) * (T - 4) / (T - 2) ** 2
-    assert evaluate(h, P0) == 1
-    assert evaluate(h, PINF) == 1
-    assert evaluate(T, P0) == 0
-    with pytest.raises(ZeroDivisionError):
-        evaluate(RatFunc.constant(1) / T, P0)
+    assert leading_term(h, P0) == (0, 1)
+    assert leading_term(h, PINF) == (0, 1)
+    assert leading_term(T, P0) == (1, 1)
+    assert leading_term(RatFunc.constant(1) / T, P0) == (-1, 1)
     assert leading_term(RatFunc.constant(1) / T**2, P0) == (-2, 1)
     assert leading_term((2 * T + 1) / T, PINF) == (0, 2)
 

@@ -218,19 +218,19 @@ def test_criterion_4_path_finds_no_roots(whole_zoo, monkeypatch):
     def no_roots(poly):
         raise RuntimeError(f"rational_roots called on {poly!r}")
 
-    def through_conductor(f, p, n):
-        if n > conductor[p]:
+    def through_conductor(f, p, n=None):
+        if n is not None and n > conductor[p]:
             raise RuntimeError(f"expansion at {p!r} asked through {n}")
-        return expand(f, p, n)
+        return local(f, p, n)
 
     def counted(funcs, cfg):
         certified.append(cfg)
         return certify(funcs, cfg)
 
-    expand, certify = chow.expand_at, chow.certify_cartier
+    local, certify = chow._local, chow.certify_cartier
     conductor, certified = {}, []
     monkeypatch.setattr(funcfield, "rational_roots", no_roots)
-    monkeypatch.setattr(chow, "expand_at", through_conductor)
+    monkeypatch.setattr(chow, "_local", through_conductor)
     monkeypatch.setattr(chow, "certify_cartier", counted)
     rng = random.Random(16)
     for name, cfg in whole_zoo.items():

@@ -26,6 +26,9 @@ __setattr__, __delattr__ or __reduce__: every immutable type takes
 them from frozen.Frozen.  No module reads a Fraction's private
 _numerator or _denominator: the public numerator and denominator are
 the interface, and the private names are CPython's fractions internals.
+Only symbols.py compares a value with "gm" or "ga": symbol_law holds
+each tag's symbol, identity and group operation, and every other module
+asks it.
 """
 
 import ast
@@ -37,10 +40,13 @@ SRC = ROOT / "src" / "albx"
 
 
 def parsed_modules():
-    return {
+    modules = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(SRC.glob("*.py"))
     }
+    # with no package found, every static check here would pass unchecked
+    assert "symbols.py" in modules, f"no albx modules under {SRC}"
+    return modules
 
 
 def references(tree):
@@ -289,3 +295,17 @@ def test_no_private_fraction_fields():
         or isinstance(node, ast.Constant) and node.value in private
     ]
     assert not found, found
+
+
+def test_only_symbols_compares_symbol_tags():
+    # a comparison with "gm" or "ga" anywhere in it, such as tag == "gm"
+    # or tag in ("gm", "ga")
+    found = {
+        f"{name}:{node.lineno}"
+        for name, tree in parsed_modules().items()
+        if name != "symbols.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(n, ast.Constant) and n.value in ("gm", "ga") for n in ast.walk(node))
+    }
+    assert not found, sorted(found)
