@@ -6,8 +6,9 @@ component is the divisor of an essentially unique rational function
 (monic numerator and denominator), and the cycle's image in the
 universal receptor pairs that interpolant f with the formal group: one
 coordinate prod f(q)^(w_q) per lattice basis divisor w, and one sum of
-branch residues against dlog f per Lie basis element.  abel_jacobi
-reads the first kind off the cycle and builds f only for the second.
+branch residues against dlog f per Lie basis element, all read from one
+expansion of dlog f per branch place.  abel_jacobi reads the first kind
+off the cycle and builds f only for the second.
 A cycle is rationally equivalent to zero exactly when every coordinate
 is the identity.
 
@@ -233,21 +234,27 @@ def albanese_pairing(funcs, alb):
 
 
 def _lie_coordinates(funcs, lie_basis):
-    """Sum of Res_q(delta_q dlog f) for each Lie basis element delta.  Each
-    function read is multiplied out once, here, for all its dlogs."""
-    read = {q.component for delta in lie_basis for q in delta.places()}
-    funcs = {comp: funcs[comp].dense() for comp in read}
-    vectorial = []
+    """Sum of Res_q(delta_q dlog f) for each Lie basis element delta.
+
+    The elements share their branch places, so dlog f is expanded once
+    per branch place q, through n_q - 1 for n_q the deepest pole order
+    of any element at q, and every element reads its terms from that
+    one series.  Each function read is multiplied out once, here, for
+    all its dlogs."""
+    depth = {}  # branch place -> deepest pole order of an element there
     for delta in lie_basis:
-        total = Fraction(0)
-        for q in delta.places():
-            part = delta.parts[q]
-            nu = -min(part.coeffs)
-            g = dlog(funcs[q.component], q, nu - 1)
-            for e, c in part.coeffs.items():
-                total += c * g.coefficient(-e - 1)
-        vectorial.append(total)
-    return vectorial
+        for q, part in delta.parts.items():
+            depth[q] = max(depth.get(q, 0), -min(part.coeffs))
+    funcs = {comp: funcs[comp].dense() for comp in {q.component for q in depth}}
+    series = {q: dlog(funcs[q.component], q, nu - 1) for q, nu in depth.items()}
+    return [
+        sum(
+            (c * series[q].coefficient(-e - 1)
+             for q, part in delta.parts.items() for e, c in part.coeffs.items()),
+            Fraction(0),
+        )
+        for delta in lie_basis
+    ]
 
 
 def abel_jacobi(cycle, config, alb):

@@ -46,7 +46,11 @@ that validate keeps modulo the conductor.  lift_to_truncation carries
 that span back to the truncation order, for the tests written against
 the span through N.  torus_reference evaluates dense interpolants at the
 branch places: the reference for the integer torus coordinates of
-chow.abel_jacobi.  is_cartier_unit is chow.certify_cartier as a
+chow.abel_jacobi.  lie_coordinates_reference expands dlog by
+dlog_reference anew for every (Lie vector, place) pair, through that
+vector's own pole order: the reference for the Lie coordinates of
+chow.abel_jacobi and chow.albanese_pairing, which expand dlog once per
+branch place.  is_cartier_unit is chow.certify_cartier as a
 predicate, for the tests.
 """
 
@@ -311,6 +315,20 @@ def dlog_reference(f, p, n):
         h = expand_at_reference(g, p, n + 2)
         return LaurentSeries(p, n, {e - 2: -c for e, c in h.coeffs.items()})
     return expand_at_reference(g, p, n)
+
+
+def lie_coordinates_reference(funcs, lie_basis):
+    """Sum of Res_q(delta_q dlog f) for each Lie vector delta, with dlog f
+    expanded at q by dlog_reference for this vector alone, through its own
+    pole order at q less one."""
+    out = []
+    for delta in lie_basis:
+        total = F(0)
+        for q, part in delta.parts.items():
+            g = dlog_reference(funcs[q.component], q, -min(part.coeffs) - 1)
+            total += sum(c * g.coefficient(-e - 1) for e, c in part.coeffs.items())
+        out.append(total)
+    return out
 
 
 def leading_term_reference(f, p):

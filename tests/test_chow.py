@@ -12,6 +12,7 @@ from oracles import (
     certify_cartier_reference,
     is_cartier_unit,
     leading_term_reference,
+    lie_coordinates_reference,
     torus_reference,
 )
 
@@ -356,6 +357,106 @@ def test_abel_jacobi_matches_pairing_of_interpolants():
         seen["torus"] += any(x != 1 for x in point.torus)
         seen["lie"] += any(point.vectorial)
     assert min(seen.values()) >= 50, seen
+
+
+# moduli whose Lie vectors share branch places: (coordinate, multiplicity)
+SHARED_LIE_PLACES = {
+    "4[0]": ((0, 4),),
+    "5[0]": ((0, 5),),
+    "3[0]+2[1]+2[inf]": ((0, 3), (1, 2), (INF, 2)),
+    "2[0]+3[inf]": ((0, 2), (INF, 3)),
+}
+
+
+def _lie_curves():
+    curves = {
+        name: modulus_curve([(Place("C0", a), n) for a, n in spec])
+        for name, spec in SHARED_LIE_PLACES.items()
+    }
+    standard = zoo()
+    curves.update((name, standard[name]) for name in ("cusp", "tacnode"))
+    return curves
+
+
+def _points_off_branches(cfg, rng, size):
+    """size distinct places of C0 off the branch places, one of them at
+    infinity with probability 0.4 where infinity is not a branch place."""
+    branch = cfg.branch_place_set()
+    places = set()
+    if Place("C0", INF) not in branch and rng.random() < 0.4:
+        places.add(Place("C0", INF))
+    while len(places) < size:
+        p = Place("C0", random_rational(rng, rng.choice((9, 99, 2**20))))
+        if p not in branch:
+            places.add(p)
+    return sorted(places, key=Place.sort_key)
+
+
+def test_lie_coordinates_match_per_place_reference():
+    """_lie_coordinates expands dlog f once per branch place, through the
+    deepest pole order of any Lie vector there, and every vector reads its
+    terms from that one series.  On 300 seeded cycles of 2 to 6 points,
+    and as many pairings of a factored function on 2 to 6 points, over
+    six curves whose Lie vectors share places, the vectorial coordinates
+    of abel_jacobi and albanese_pairing must equal the reference's, which
+    expands dlog for each (vector, place) pair through that vector's own
+    order.  Every other round over the curves takes the Lie basis
+    reversed, so that the shallowest vector at a place comes first."""
+    curves = _lie_curves()
+    albs = {name: albanese(cfg) for name, cfg in curves.items()}
+    names = sorted(curves)
+    rng = random.Random(2801)
+    seen = dict.fromkeys(("point at inf", "pole at inf", "reversed", "nonzero aj", "nonzero pairing"), 0)
+    for k in range(300):
+        name = names[k % len(names)]
+        cfg, alb = curves[name], albs[name]
+        if k // len(names) % 2:
+            alb = FormalGroupData(alb.etale_basis, alb.lie_basis[::-1])
+            seen["reversed"] += 1
+        places = _points_off_branches(cfg, rng, rng.randint(2, 6))
+        mults = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in places[1:]]
+        cycle = ZeroCycle(zip(places, [-sum(mults)] + mults))
+        want = lie_coordinates_reference({"C0": interpolate_divisor(cycle, "C0")}, alb.lie_basis)
+        assert list(abel_jacobi(cycle, cfg, alb).vectorial) == want, (name, cycle)
+        seen["point at inf"] += any(p.is_infinite() for p in places)
+        seen["nonzero aj"] += any(want)
+        # a factored function with its zeros and poles off the branch places,
+        # of nonzero degree (a zero or pole at infinity) where infinity is free
+        places = [p for p in _points_off_branches(cfg, rng, rng.randint(2, 6)) if not p.is_infinite()]
+        mults = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in places]
+        if Place("C0", INF) in cfg.branch_place_set():
+            mults[0] -= sum(mults)
+        seen["pole at inf"] += sum(mults) > 0
+        scale = random_rational(rng, 9, nonzero=True)
+        f = RatFunc.from_factors([(p.coordinate, m) for p, m in zip(places, mults)], scale)
+        want = lie_coordinates_reference({"C0": f}, alb.lie_basis)
+        assert list(albanese_pairing({"C0": f}, alb).vectorial) == want, (name, f)
+        seen["nonzero pairing"] += any(want)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("name, places", [("4[0]", 1), ("3[0]+2[1]+2[inf]", 3)])
+def test_lie_coordinates_expand_dlog_once_per_branch_place(monkeypatch, name, places):
+    """One abel_jacobi, or one albanese_pairing, expands dlog once at each
+    distinct branch place that carries a Lie vector: once on 4[0], whose
+    three vectors share 0, and three times on 3[0]+2[1]+2[inf]."""
+    calls = []
+    real = albx.chow.dlog
+
+    def counted(f, p, n):
+        calls.append(p)
+        return real(f, p, n)
+
+    monkeypatch.setattr(albx.chow, "dlog", counted)
+    cfg = modulus_curve([(Place("C0", a), n) for a, n in SHARED_LIE_PLACES[name]])
+    alb = albanese(cfg)
+    cycle = cyc("C0:2=+1,C0:3=+1,C0:5=-2")
+    point = abel_jacobi(cycle, cfg, alb)
+    assert len(calls) == len(set(calls)) == places
+    assert set(calls) == {q for delta in alb.lie_basis for q in delta.places()}
+    calls.clear()
+    assert albanese_pairing({"C0": interpolate_divisor(cycle, "C0")}, alb) == point
+    assert len(calls) == len(set(calls)) == places
 
 
 def _verdict(certify, funcs, cfg):

@@ -10,13 +10,17 @@ import sys
 
 import pytest
 
+from oracles import lie_coordinates_reference
+
 import albx
 from albx.arith import format_rat
 from albx.cli import _write_json, main, parse_expression
+from albx.chow import ZeroCycle, interpolate_divisor
 from albx.curve import MAX_TRUNCATION, CurveConfig, SingularPoint, config_to_json
 from albx.errors import InputError
-from albx.fixtures import cusp, node, rfold, tacnode, tacnode_point
+from albx.fixtures import cusp, modulus_curve, node, rfold, tacnode, tacnode_point
 from albx.funcfield import INF, LaurentSeries, Place, RatFunc
+from albx.motive import albanese
 
 T = RatFunc.variable()
 
@@ -495,6 +499,29 @@ def test_chow_interpolant_past_degree_limit_exits_2(curve_files, curve, n):
     code, out, err = run_cli(args, timeout=5)
     assert code == 2 and out == ""
     assert err == "error: interpolant on C0 would pass degree 2048\n"
+
+
+def test_chow_lie_coordinates_on_four_vectors_at_one_place(tmp_path):
+    # 5[0] has four Lie vectors, all at 0, read from one dlog series there
+    cfg = modulus_curve([(Place("C0", 0), 5)])
+    path = tmp_path / "5at0.json"
+    path.write_text(json.dumps(config_to_json(cfg)))
+    rng = random.Random(2802)
+    places = [Place("C0", INF)]
+    while len(places) < 16:
+        a = F(rng.randint(-999, 999), rng.randint(1, 99))
+        if a and Place("C0", a) not in places:
+            places.append(Place("C0", a))
+    mults = [0]
+    while not sum(mults):  # no zero multiplicity at infinity
+        mults = [rng.choice((-2, -1, 1, 2)) for _ in places[1:]]
+    cycle = ZeroCycle(zip(places, [-sum(mults)] + mults))
+    assert len(cycle.places()) == 16
+    code, out, err = run_cli(["chow", str(path), "--cycle", cycle.to_string(), "--format", "json"], timeout=60)
+    assert code == 0 and err == ""
+    want = lie_coordinates_reference({"C0": interpolate_divisor(cycle, "C0")}, albanese(cfg).lie_basis)
+    assert len(want) == 4 and all(want)
+    assert json.loads(out)["abel_jacobi"]["vectorial"] == [format_rat(x) for x in want]
 
 
 # --- symbol -------------------------------------------------------------------------
