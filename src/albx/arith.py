@@ -13,16 +13,31 @@ MAX_HEIGHT = 2**16
 MAX_DEGREE = 2048  # of a ^ base times |exponent| in cli, and of an abel_jacobi interpolant
 # Fraction's forms, once "_" between digits is dropped: a/b, or a decimal
 _RATIONAL = re.compile(r"([+-]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:e([+-]?)(\d+))?)", re.I)
+# the plain forms a and a/b, which curve files, cycles and points use
+_PLAIN = re.compile(r"[+-]?\d+(?:/\d+)?")
+# a plain literal this short converts by int alone: it stays below int's
+# 4300-digit limit, and 2400 digits are fewer than MAX_HEIGHT bits
+_PLAIN_CHARS = 2400
 
 
 def parse_rat(text):
     """Parse "a/b", "a", or a decimal such as "-2.5e-3" into a Fraction.
 
-    Digit runs convert through parse_int, under its MAX_HEIGHT limit.  A
-    decimal n * 10^k is refused unformed when 3k >= MAX_HEIGHT or -3k >=
-    2 MAX_HEIGHT, as 10^|k| > 2^(3|k|) and n cancels at most MAX_HEIGHT bits.
+    A short plain a or a/b converts by int directly.  Every other literal
+    goes through the full grammar, whose digit runs convert through
+    parse_int, under its MAX_HEIGHT limit.  A decimal n * 10^k is refused
+    unformed when 3k >= MAX_HEIGHT or -3k >= 2 MAX_HEIGHT, as 10^|k| >
+    2^(3|k|) and n cancels at most MAX_HEIGHT bits.
     """
     text = str(text).strip()
+    if len(text) <= _PLAIN_CHARS and _PLAIN.fullmatch(text):
+        num, _, den = text.partition("/")
+        if not den:
+            return Fraction(int(num))
+        d = int(den)
+        if d == 0:
+            raise InputError(f"bad rational literal {abbreviate(text)!r}: zero denominator")
+        return Fraction(int(num), d)
     shown = abbreviate(text)
     match = _RATIONAL.fullmatch(re.sub(r"(?<=\d)_(?=\d)", "", text))
     if match is None:
@@ -87,8 +102,7 @@ def format_rat(x):
     Numerator and denominator are printed in full up to MAX_HEIGHT bits;
     a larger one raises InputError.
     """
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
+    num, den = x.as_integer_ratio()
     if max(num.bit_length(), den.bit_length()) > MAX_HEIGHT:
         raise InputError(f"rational of more than {MAX_HEIGHT} bits is not printed")
     text = _decimal(num)

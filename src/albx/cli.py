@@ -28,7 +28,6 @@ from .funcfield import Place, RatFunc, parse_coordinate
 from .infdiv import divisor_group
 from .motive import OneMotive, albanese, base_points_for, dualize, linear_group
 from .symbols import reciprocity_check, symbol_law
-from .verify import run_verify
 
 
 # --- minimal arithmetic grammar over t -------------------------------------
@@ -183,8 +182,9 @@ def _json_parts(value, out, indent):
     """Append the pieces of json.dumps(value, sort_keys=True, indent=2) to
     out.  The payloads hold only dict (str keys), list, tuple, str, int,
     bool and None, and json.dumps with an indent runs its pure-Python
-    encoder, so this writer runs instead.  A str item, the common leaf,
-    is written in place rather than by a call."""
+    encoder, so this writer runs instead.  A str or int item, the common
+    leaves, is written in place rather than by a call; the exact type test
+    keeps bools, an int subclass, out of the int case."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
@@ -206,6 +206,8 @@ def _json_parts(value, out, indent):
                 head = f"{sep}{encode_basestring_ascii(key)}: "
                 if type(item) is str:
                     out.append(head + encode_basestring_ascii(item))
+                elif type(item) is int:
+                    out.append(head + int.__repr__(item))
                 else:
                     out.append(head)
                     _json_parts(item, out, inner)
@@ -216,6 +218,8 @@ def _json_parts(value, out, indent):
             for item in value:
                 if type(item) is str:
                     out.append(sep + encode_basestring_ascii(item))
+                elif type(item) is int:
+                    out.append(sep + int.__repr__(item))
                 else:
                     out.append(sep)
                     _json_parts(item, out, inner)
@@ -349,6 +353,10 @@ def cmd_symbol(args):
 
 
 def cmd_verify(args):
+    # imported here: verify and the fixtures and sampler it draws on are
+    # needed by this command alone
+    from .verify import run_verify
+
     config = load_config(args.curve) if args.curve else None
     results, elapsed = run_verify(config, trials=args.trials, seed=args.seed)
     statuses = {r.status for r in results}
@@ -399,15 +407,31 @@ def build_parser():
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "text"), default="text")
-    return parser
+    return parser, sub.choices
 
 
-# built once per process; parse_args leaves the parser unchanged
-_PARSER = build_parser()
+# built once per process; parse_args leaves the parsers unchanged
+_PARSER, _COMMANDS = build_parser()
+
+
+def _parse(argv):
+    """_PARSER.parse_args(argv) in one argparse pass where that gives the
+    same namespace.  The top-level parser hands everything after the
+    command to the subcommand's parse_known_args and refuses what it
+    leaves over; main runs that call itself.  Leftovers, a missing or
+    unknown command and top-level options take the full parse, so every
+    usage line, error text and exit code is the top-level parser's."""
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if getattr(args, "trials", 1) < 1:
         sys.stderr.write("error: trials must be >= 1\n")
         return 2

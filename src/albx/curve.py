@@ -485,7 +485,7 @@ def load_config(path):
             data = json.load(
                 fh, parse_float=parse_rat, parse_int=parse_rat, parse_constant=parse_rat
             )
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None

@@ -51,18 +51,21 @@ dlog_reference anew for every (Lie vector, place) pair, through that
 vector's own pole order: the reference for the Lie coordinates of
 chow.abel_jacobi and chow.albanese_pairing, which expand dlog once per
 branch place.  is_cartier_unit is chow.certify_cartier as a
-predicate, for the tests.
+predicate, for the tests.  parse_rat_reference (the full literal grammar
+for every literal, with arith's parse_int and abbreviate) is the reference
+for arith.parse_rat, which reads the plain forms a and a/b by int alone.
 """
 
 from fractions import Fraction as F
 from math import gcd
+import re
 
 import sympy
 
-from albx.arith import format_rat
+from albx.arith import MAX_HEIGHT, abbreviate, format_rat, parse_int
 from albx.chow import certify_cartier
 from albx.curve import Divisor, _closure_span, validate
-from albx.errors import NotCartierError, UndefinedValuationError
+from albx.errors import InputError, NotCartierError, UndefinedValuationError
 from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor
 from albx.linalg import RowSpan, integer_kernel_basis
 from albx.symbols import residue_symbol, tame_symbol
@@ -781,3 +784,28 @@ def is_cartier_unit(funcs, config):
         return True
     except NotCartierError:
         return False
+
+
+_RATIONAL = re.compile(r"([+-]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?(?:e([+-]?)(\d+))?)", re.I)
+
+
+def parse_rat_reference(text):
+    """Every literal through the full grammar: "_" between digits dropped,
+    each digit run through parse_int, and n * 10^k refused unformed when
+    3k >= MAX_HEIGHT or -3k >= 2 MAX_HEIGHT."""
+    text = str(text).strip()
+    shown = abbreviate(text)
+    match = _RATIONAL.fullmatch(re.sub(r"(?<=\d)_(?=\d)", "", text))
+    if match is None:
+        raise InputError(f"bad rational literal {shown!r}")
+    sign, num, den, frac, exp_sign, exp = match.groups()
+    n, d, e = parse_int(num + (frac or "")), parse_int(den or "1"), parse_int(exp or "0")
+    if d == 0:
+        raise InputError(f"bad rational literal {shown!r}: zero denominator")
+    k = (-e if exp_sign == "-" else e) - len(frac or "")
+    in_range = -2 * MAX_HEIGHT < 3 * k < MAX_HEIGHT
+    value = F(n * 10 ** max(k, 0), d * 10 ** max(-k, 0)) if n and in_range else F(0)
+    bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+    if n and (not in_range or bits > MAX_HEIGHT):
+        raise InputError(f"rational literal {shown!r} of more than {MAX_HEIGHT} bits")
+    return -value if sign == "-" else value

@@ -1,8 +1,12 @@
 from fractions import Fraction
+import random
+import re
 
 import pytest
 
-from albx.arith import MAX_HEIGHT, _decimal, factorint, format_rat, parse_int, parse_rat
+from oracles import parse_rat_reference
+
+from albx.arith import MAX_HEIGHT, _decimal, abbreviate, factorint, format_rat, parse_int, parse_rat
 from albx.errors import InputError
 
 
@@ -80,3 +84,79 @@ def test_parse_rat_decimals_and_exponents():
     for text in ("1__0", "_1", "1._5", "3 / 4", ".", "e5", "1e", "1e+_5", "inf"):
         with pytest.raises(InputError, match="bad rational literal"):
             parse_rat(text)
+
+
+# ASCII, fullwidth, Arabic-Indic and Devanagari digits; superscripts are not decimal
+_DIGITS = "0123456789" * 6 + "０３９٠٣٩०७"
+_JUNK = ["x", "²", ".", "/", "e", "E", "_", "+", "-", " ", "1.2.3", "inf", "nan", "0x1f", "1j"]
+_SPACE = ["", "", "", " ", "\t", "\n ", "\u3000"]
+
+
+def _digit_run(rng):
+    size = rng.choice([1, 1, 2, 3, 5, 12, 40, rng.randint(4301, 4400), rng.randint(19729, 19800)])
+    if size > 40 and rng.random() < 0.5:  # long runs are rare, most of them short
+        size = rng.randint(1, 6)
+    run = "".join(rng.choice(_DIGITS) for _ in range(size))
+    return rng.choice(["", "", "", "0", "000"]) + run
+
+
+def _random_literal(rng):
+    """A seeded literal: a signed digit run, a/b, a decimal with an
+    exponent, underscores, surrounding or inner whitespace, or junk."""
+    sign = rng.choice(["", "", "", "-", "+", "--", "+-"])
+    num = _digit_run(rng)
+    shape = rng.choice([0, 0, 1, 1, 1, 2, 3, 4, 5])
+    if shape == 0:
+        text = sign + num
+    elif shape == 1:
+        den = rng.choice([_digit_run(rng), "0", "000", "-3", ""])
+        text = f"{sign}{num}/{den}"
+    elif shape == 2:
+        frac = rng.choice(["", _digit_run(rng)])
+        whole = rng.choice([num, ""])
+        exp = rng.choice(["", f"e{rng.randint(0, 30)}", f"E-{rng.randint(0, 30)}", "e+5",
+                          f"e{rng.choice([19728, 19729, 10**7])}", "e"])
+        text = f"{sign}{whole}.{frac}{exp}"
+    elif shape == 3:
+        text = f"{sign}{num}e{rng.choice(['', '-', '+'])}{_digit_run(rng)}"
+    elif shape == 4:  # underscores, one between digits or misplaced
+        text = sign + num + rng.choice(["", "/"]) + _digit_run(rng)
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + rng.choice(["_", "_", "__"]) + text[cut:]
+    else:
+        parts = [sign, num, rng.choice(_JUNK), rng.choice(["", _digit_run(rng)])]
+        text = "".join(parts)
+    if rng.random() < 0.1:
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + " " + text[cut:]
+    return rng.choice(_SPACE) + text + rng.choice(_SPACE)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except InputError as exc:
+        return "InputError", str(exc)
+    assert type(value) is Fraction
+    return value
+
+
+def test_parse_rat_matches_full_grammar_reference():
+    rng = random.Random(29)
+    seen = dict.fromkeys(
+        ["value", "error", "plain", "a/b", "zero denominator", "decimal", "unicode", "long", "too high"], 0
+    )
+    for _ in range(1500):
+        text = _random_literal(rng)
+        expected = _outcome(parse_rat_reference, text)
+        assert _outcome(parse_rat, text) == expected, abbreviate(text)
+        value = isinstance(expected, Fraction)
+        seen["value" if value else "error"] += 1
+        seen["a/b"] += value and "/" in text
+        seen["zero denominator"] += not value and expected[1].endswith("zero denominator")
+        seen["decimal"] += value and "." in text
+        seen["unicode"] += value and not text.strip().isascii()
+        seen["long"] += len(text) > 4300
+        seen["too high"] += not value and f"more than {MAX_HEIGHT} bits" in expected[1]
+        seen["plain"] += value and re.fullmatch(r"[+-]?\d+(/\d+)?", text.strip()) is not None
+    assert min(seen.values()) >= 30, seen

@@ -14,6 +14,7 @@ from oracles import lie_coordinates_reference
 
 import albx
 from albx.arith import format_rat
+from albx import cli
 from albx.cli import _write_json, main, parse_expression
 from albx.chow import ZeroCycle, interpolate_divisor
 from albx.curve import MAX_TRUNCATION, CurveConfig, SingularPoint, config_to_json
@@ -391,6 +392,8 @@ MALFORMED_CURVES = {
     "generator_null": _cusp_with_third_generator(None),
     "nested_top_level": "[" * 5000 + "]" * 5000,
     "nested_components": '{"components": ' + "[" * 5000 + "]" * 5000 + ', "truncation": 3}',
+    # UTF-16 with its byte order mark \xff\xfe: not UTF-8, so it cannot be read
+    "utf16": json.dumps(config_to_json(node())).encode("utf-16"),
 }
 
 
@@ -400,9 +403,14 @@ MALFORMED_CURVES = {
 )
 @pytest.mark.parametrize("name", sorted(MALFORMED_CURVES))
 def test_malformed_curve_file_exits_2(tmp_path, name, command, options):
-    # these files raised AttributeError or RecursionError, so verify exited 1
+    # these files raised AttributeError, RecursionError or UnicodeDecodeError,
+    # so verify exited 1
     path = tmp_path / f"{name}.json"
-    path.write_text(MALFORMED_CURVES[name])
+    content = MALFORMED_CURVES[name]
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     code, out, err = run_cli([command, str(path), *options], timeout=30)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
@@ -726,36 +734,84 @@ def test_decimal_coordinates(curve_files):
     assert out.startswith("cycle: C0:3/2=-1,C0:1000=+1\ntorus coordinates: [2000/3]\n")
 
 
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_parser_reused_across_calls(curve_files, monkeypatch):
-    """Calls in one process print what fresh processes print."""
+    """Calls in one process print what fresh processes print, and what the
+    top-level parser's full parse prints: the exit code, stdout and stderr
+    of main's one-pass dispatch to a subparser are those of
+    _PARSER.parse_args, which main runs when no command matches."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
+    node, cycle = curve_files["node"], ["--cycle", "C0:2=+1,C0:3=-1"]
+    bogus = ["chow", node, *cycle, "--bogus"]
     calls = [
         ["analyze", curve_files["cusp"], "--format", "json"],
         ["chow", curve_files["tacnode"], "--cycle", "C0:2=+1,C0:3=-1"],
         ["symbol", "--tag", "ga", "--psi", "1/t^2", "--f", "(t-2)/(t+3)"],
-        ["chow", curve_files["node"]],
+        ["chow", node],
         ["--help"],
         ["symbol", "--tag", "gm", "--psi", "t", "--f", "t-3", "--point=7/3", "--format", "json"],
-        ["analyze", curve_files["node"]],
+        ["analyze", node],
+        [],
+        ["frobnicate", node],
+        *([command, "-h"] for command in ("analyze", "chow", "symbol", "verify")),
+        ["chow", node, *cycle, "--format", "xml"],
+        ["chow", node, *cycle, "extra"],
+        bogus,
+        ["chow", node, *cycle, "--form", "json"],
+        ["symbol", "--tag", "gm", "--psi", "t", "--f", "t-3", "--point", "-2"],
+        ["chow", *cycle, "--", node],
+        ["analyze", "--", node, "--format", "json"],
+        ["--", "analyze", node],
+        ["verify", "--trials", "0"],
     ]
+    full_parses = []
+    parse_args = cli._PARSER.parse_args
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda a: full_parses.append(a) or parse_args(a))
     for argv in calls:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+        got = _in_process(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_COMMANDS", {})  # every call takes the full parse
+            assert _in_process(argv) == got, argv
         fresh = subprocess.run(
             [sys.executable, "-m", "albx.cli", *argv],
             capture_output=True,
             text=True,
             env=dict(ENV, COLUMNS="80"),
         )
-        assert (code, out.getvalue(), err.getvalue()) == (
-            fresh.returncode,
-            fresh.stdout,
-            fresh.stderr,
-        ), argv
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    # the top-level parser's text, not the subparser's "albx chow: error: ..."
+    assert _in_process(bogus) == (
+        2,
+        "",
+        "usage: albx [-h] {analyze,chow,symbol,verify} ...\n"
+        "albx: error: unrecognized arguments: --bogus\n",
+    )
+    # a call that names a command and leaves nothing over parses once
+    full_parses.clear()
+    assert _in_process(["analyze", node, "--format", "json"])[0] == 0
+    assert _in_process(["chow", node, *cycle])[0] == 0
+    assert full_parses == []
+
+
+def test_import_leaves_verify_unloaded():
+    """verify, and the fixtures and sampler it draws on, load only for
+    `albx verify`: a CLI process compiles them only when it runs it."""
+    probe = "import sys, albx.cli; print(*sys.modules, sep='\\n')"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=ENV, check=True
+    )
+    loaded = set(proc.stdout.splitlines())
+    assert "albx.cli" in loaded
+    assert not loaded & {"albx.verify", "albx.fixtures", "albx.sampling"}
 
 
 # --- JSON output -----------------------------------------------------------------------
