@@ -178,15 +178,24 @@ def parse_expression(text, component="C0"):
 # --- subcommands ------------------------------------------------------------
 
 
+class _JsonText(str):
+    """value as JSON text at indent, which _json_parts appends unchanged."""
+
+    def __new__(cls, value, indent=""):
+        out = []
+        _json_parts(value, out, indent)
+        return str.__new__(cls, "".join(out))
+
+
 def _json_parts(value, out, indent):
     """Append the pieces of json.dumps(value, sort_keys=True, indent=2) to
     out.  The payloads hold only dict (str keys), list, tuple, str, int,
     bool and None, and json.dumps with an indent runs its pure-Python
     encoder, so this writer runs instead.  A str or int item, the common
-    leaves, is written in place rather than by a call; the exact type test
-    keeps bools, an int subclass, out of the int case."""
+    leaves, is written in place rather than by a call; the exact type tests
+    keep bools out of the int case and _JsonText out of the str case."""
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        out.append(value if type(value) is _JsonText else encode_basestring_ascii(value))
     elif value is None or isinstance(value, bool):
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -198,10 +207,10 @@ def _json_parts(value, out, indent):
         inner = indent + "  "
         sep = "\n" + inner
         if isinstance(value, dict):
-            if not all(isinstance(k, str) for k in value):
-                raise TypeError("JSON object keys must be str")
             out.append("{")
             for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError("JSON object keys must be str")
                 item = value[key]
                 head = f"{sep}{encode_basestring_ascii(key)}: "
                 if type(item) is str:
@@ -230,9 +239,7 @@ def _json_parts(value, out, indent):
 
 
 def _write_json(payload):
-    out = []
-    _json_parts(payload, out, "")
-    sys.stdout.write("".join(out) + "\n")
+    sys.stdout.write(_JsonText(payload) + "\n")
 
 
 def _write_lines(lines):
@@ -245,9 +252,8 @@ def cmd_analyze(args):
     motive = OneMotive(formal)
     dual = dualize(motive)
     if args.format == "json":
-        bases = formal.to_json()
+        bases = {key: _JsonText(value, "    ") for key, value in formal.to_json().items()}
         ranks = {"torus_rank": formal.rank, "vectorial_dim": formal.dim}
-        base_points = sorted(base_points_for(config).items())
         _write_json({
             "curve": config_to_json(config),
             "formal_group": bases,
@@ -255,7 +261,7 @@ def cmd_analyze(args):
             "albanese": {
                 **bases,
                 **ranks,
-                "base_points": [p.to_json() for _, p in base_points],
+                "base_points": [p.to_json() for _, p in sorted(base_points_for(config).items())],
             },
             "motive": repr(motive),
             "dual_motive": repr(dual),

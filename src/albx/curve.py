@@ -280,7 +280,10 @@ def validate(config):
         for q in sp.branches:
             if q.component not in config.components:
                 raise ValidationError(f"branch {q!r} on unknown component")
-            if q in seen_branches:
+            if q in seen_branches:  # a repeat within the fiber is named first
+                for k, b in enumerate(sp.branches):
+                    if b in sp.branches[:k]:
+                        raise ValidationError(f"singular point {sp.name}: branch {b!r} listed twice")
                 raise ValidationError(f"branch {q!r} used by more than one singular point")
             seen_branches.add(q)
         if sp.kind == "ordinary":
@@ -308,7 +311,7 @@ def validate(config):
                         raise ValidationError(
                             f"{sp.name}: generator has nonpositive leading exponent"
                         )
-                    norm.append(LaurentSeries(q, n, series.coeffs))
+                    norm.append(series.recast(q, n))
                 if all(s is None for s in norm):
                     # vanishes modulo the truncation order: constrains
                     # nothing at the working precision, so drop it

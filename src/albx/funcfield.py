@@ -522,6 +522,11 @@ class LaurentSeries(Frozen):
     def monomial(cls, place, exponent, coeff, truncation):
         return cls(place, truncation, {exponent: coeff})
 
+    def recast(self, place, truncation):
+        """LaurentSeries(place, truncation, self.coeffs): self when it is that."""
+        same = self.truncation == truncation and self.place == place
+        return self if same else LaurentSeries(place, truncation, self.coeffs)
+
     def lead_bound(self):
         """Exponent below which every coefficient is certainly zero."""
         return min(self.coeffs) if self.coeffs else self.truncation + 1

@@ -10,8 +10,8 @@ The formal group attached to a configuration is cut out by two kernels:
 
   * etale part: divisors supported on the branch places, of degree zero
     on every component, whose push-forward to the curve vanishes.  That
-    is H_1 of the dual graph, read off the fundamental cycles of a
-    spanning forest and put in Hermite form;
+    is H_1 of the dual graph, whose Hermite form is read off the
+    fundamental cycles of a spanning forest chosen for it (etale_kernel);
   * Lie part: principal parts with pole order at most the conductor at
     each branch, annihilating every element of the maximal ideal of the
     curve downstairs (a homogeneous rational system on the ideal's
@@ -29,7 +29,7 @@ from .curve import Divisor, jet_column
 from .errors import InputError, ValidationError
 from .frozen import Frozen
 from .funcfield import LaurentSeries, Place
-from .linalg import hnf_rows, rational_kernel_basis
+from .linalg import rational_kernel_basis
 from .arith import format_rat
 
 
@@ -45,10 +45,8 @@ class InfinitesimalDivisor(Frozen):
             if series is None or not series.coeffs:
                 continue
             if max(series.coeffs) >= 0:
-                raise InputError(
-                    f"principal part at {place!r} has a nonnegative exponent"
-                )
-            data[place] = LaurentSeries(place, -1, series.coeffs)
+                raise InputError(f"principal part at {place!r} has a nonnegative exponent")
+            data[place] = series.recast(place, -1)
         object.__setattr__(self, "parts", data)
 
     def places(self):
@@ -137,42 +135,44 @@ def etale_kernel(config):
     spanning forest, one per branch outside it, are a Z-basis of the
     cycles; each walks its branch from component to point and returns
     through the forest, with sign +1 on a branch walked from component
-    to point and -1 on one walked back.  hnf_rows puts them in canonical
-    form.
+    to point and -1 on one walked back.  Kruskal grows the forest from
+    the last column down: a maximum-weight basis of the graphic matroid,
+    weight the column index.  So every forest branch on the cycle of an
+    outside column k lies past k (the greedy cycle property), and the
+    cycle is +1 at k and 0 at every other outside column: in column
+    order the cycles are the reduced Hermite form, with no elimination.
     """
     _require_validated(config)
     cols = config.branch_places()
     point = {q: sp.name for sp in config.singular_points for q in sp.branches}
     ends = [(("component", q.component), ("point", point[q])) for q in cols]
-    edges = {}  # vertex -> [(column, other end)]
-    for k, (a, b) in enumerate(ends):
-        edges.setdefault(a, []).append((k, b))
-        edges.setdefault(b, []).append((k, a))
-    up = {}  # vertex -> (column of its forest edge, parent), (None, None) at a root
-    for root in edges:
-        if root not in up:
-            up[root], stack = (None, None), [root]
-            while stack:
-                v = stack.pop()
-                for k, w in edges[v]:
-                    if w not in up:
-                        up[w] = (k, v)
-                        stack.append(w)
+    up = {}  # vertex -> (column of its forest branch, parent); roots absent
+    for k in range(len(ends) - 1, -1, -1):
+        roots = []
+        for v in ends[k]:
+            while v in up:
+                v = up[v][1]
+            roots.append(v)
+        if roots[0] != roots[1]:  # k links two trees: re-root one at its end, hang it on k
+            step, v = (k, ends[k][1]), ends[k][0]
+            while v is not None:
+                j, w = up.get(v, (None, None))
+                up[v] = step
+                step, v = (j, v), w
     forest = {k for k, _ in up.values()}
-    cycles = []
+    basis = []
     for k, (comp, pt) in enumerate(ends):
         if k in forest:
             continue
-        vec = [0] * len(cols)
-        vec[k] = 1
+        steps = [(cols[k], 1)]
         # back from pt to comp: up from pt toward the root, then down from
-        # the root to comp; the stretch both climbs share cancels
+        # the root to comp; Divisor sums the stretch both climbs share to 0
         for v, sign in ((pt, 1), (comp, -1)):
-            while up[v][1] is not None:
-                vec[up[v][0]] += sign if v[0] == "component" else -sign
+            while v in up:
+                steps.append((cols[up[v][0]], sign if v[0] == "component" else -sign))
                 v = up[v][1]
-        cycles.append(vec)
-    return [Divisor(zip(cols, vec)) for vec in hnf_rows(cycles, len(cols))]
+        basis.append(Divisor(steps))
+    return basis
 
 
 def lie_kernel(config):

@@ -63,14 +63,15 @@ def double_dual_check(motive):
 
 def base_points_for(config):
     """Smallest nonnegative integer coordinate per component avoiding branches."""
-    branch = config.branch_place_set()
-    out = {}
-    for comp in config.components:
-        k = 0
-        while Place(comp, k) in branch:
-            k += 1
-        out[comp] = Place(comp, k)
-    return out
+    taken = {comp: set() for comp in config.components}
+    for sp in config.singular_points:
+        for q in sp.branches:
+            taken[q.component].add(q.coordinate)
+    # of 0..len(coords), one at least is free
+    return {
+        comp: Place(comp, min(set(range(len(coords) + 1)).difference(coords)))
+        for comp, coords in taken.items()
+    }
 
 
 def albanese(config):

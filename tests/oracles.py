@@ -54,6 +54,9 @@ branch place.  is_cartier_unit is chow.certify_cartier as a
 predicate, for the tests.  parse_rat_reference (the full literal grammar
 for every literal, with arith's parse_int and abbreviate) is the reference
 for arith.parse_rat, which reads the plain forms a and a/b by int alone.
+base_points_reference (probe 0, 1, 2, ... with a Place each, against the
+set of branch places) is the reference for motive.base_points_for, which
+reads each component's branch coordinates as one set.
 """
 
 from fractions import Fraction as F
@@ -66,7 +69,7 @@ from albx.arith import MAX_HEIGHT, abbreviate, format_rat, parse_int
 from albx.chow import certify_cartier
 from albx.curve import Divisor, _closure_span, validate
 from albx.errors import InputError, NotCartierError, UndefinedValuationError
-from albx.funcfield import LaurentSeries, Poly, RatFunc, expand_at, split_divisor
+from albx.funcfield import LaurentSeries, Place, Poly, RatFunc, expand_at, split_divisor
 from albx.linalg import RowSpan, integer_kernel_basis
 from albx.symbols import residue_symbol, tame_symbol
 
@@ -809,3 +812,19 @@ def parse_rat_reference(text):
     if n and (not in_range or bits > MAX_HEIGHT):
         raise InputError(f"rational literal {shown!r} of more than {MAX_HEIGHT} bits")
     return -value if sign == "-" else value
+
+
+# --- base points ----------------------------------------------------------
+
+
+def base_points_reference(config):
+    """The smallest nonnegative integer coordinate per component that is
+    no branch place, found by building and probing a Place for each."""
+    branch = config.branch_place_set()
+    out = {}
+    for comp in config.components:
+        k = 0
+        while Place(comp, k) in branch:
+            k += 1
+        out[comp] = Place(comp, k)
+    return out

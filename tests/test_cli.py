@@ -1,5 +1,6 @@
 import contextlib
 from fractions import Fraction as F
+import hashlib
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from albx.cli import _write_json, main, parse_expression
 from albx.chow import ZeroCycle, interpolate_divisor
 from albx.curve import MAX_TRUNCATION, CurveConfig, SingularPoint, config_to_json
 from albx.errors import InputError
-from albx.fixtures import cusp, modulus_curve, node, rfold, tacnode, tacnode_point
+from albx.fixtures import cusp, line_chain, modulus_curve, node, rfold, tacnode, tacnode_point, zoo
 from albx.funcfield import INF, LaurentSeries, Place, RatFunc
 from albx.motive import albanese
 
@@ -245,6 +246,78 @@ def test_analyze_deterministic(curve_files):
     _, out1, _ = run_cli(["analyze", curve_files["tacnode"], "--format", "json"])
     _, out2, _ = run_cli(["analyze", curve_files["tacnode"], "--format", "json"])
     assert out1 == out2
+
+
+def analyze_axes():
+    """name -> curve along analyze's axes: the zoo, r-fold points, the cusp
+    and the tacnode at N = 10, 20 and 40, chains and cycles of lines, and
+    48 seeded moduli with support 1-4, infinity allowed, multiplicities 1-4."""
+    curves = zoo()
+    curves.update((f"rfold{r}", rfold(r)) for r in range(2, 9))
+    q0, q1 = Place("C0", 0), Place("C0", 1)
+    for n in (10, 20, 40):
+        gens = ((LaurentSeries.monomial(q0, 2, 1, n),), (LaurentSeries.monomial(q0, 3, 1, n),))
+        cusp_n = SingularPoint("p", (q0,), "explicit", (1,), gens)
+        curves[f"cusp N={n}"] = CurveConfig(["C0"], [cusp_n], n)
+        curves[f"tacnode N={n}"] = CurveConfig(["C0"], [tacnode_point("p", q0, q1, n)], n)
+    for k in range(2, 7):
+        curves[f"chain{k}"] = line_chain(k, ["ordinary"] * (k - 1))
+        curves[f"cycle{k}"] = line_chain(k, ["ordinary"] * k)
+    rng = random.Random(3030)
+    for j in range(48):
+        # a dict, not a set: a set's order follows INF's per-process str hash
+        coords = dict.fromkeys(
+            INF if rng.random() < 0.25 else F(rng.randint(-40, 40), rng.randint(1, 9))
+            for _ in range(rng.randint(1, 4))
+        )
+        curves[f"modulus{j}"] = modulus_curve([(Place("C0", a), rng.randint(1, 4)) for a in coords])
+    return curves
+
+
+# SHA-256 of the stdout of albx analyze, text then JSON, on each curve of
+# analyze_axes in turn, as printed when the lattice was put in Hermite
+# form by elimination and the bases were written twice
+ANALYZE_AXES_DIGEST = "c17ca0da708d8f436d9dce04b30d22ffdb1ba5abb0a9a95cc153fdbf9fe4c265"
+
+
+def test_analyze_output_pinned_across_axes(tmp_path):
+    digest = hashlib.sha256()
+    curves = analyze_axes()
+    assert len(curves) == 5 + 7 + 6 + 10 + 48
+    for k, cfg in enumerate(curves.values()):
+        path = tmp_path / f"c{k}.json"
+        path.write_text(json.dumps(config_to_json(cfg)))
+        for fmt in ("text", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["analyze", str(path), "--format", fmt]) == 0
+            digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == ANALYZE_AXES_DIGEST
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([["C0:0", "C0:0", "C0:inf"]], "singular point p0: branch C0:0 listed twice"),
+        ([["C0:0", "C0:inf"], ["C0:0", "C0:1"]], "branch C0:0 used by more than one singular point"),
+    ],
+    ids=["one fiber", "two points"],
+)
+def test_analyze_names_a_repeated_branch(tmp_path, points, message):
+    # a branch listed twice in one fiber was reported as used by two points
+    data = {
+        "components": [{"id": "C0"}],
+        "truncation": 2,
+        "singular_points": [
+            {"name": f"p{k}", "branches": [dict(zip(("component", "point"), b.split(":")))
+                                           for b in branches]}
+            for k, branches in enumerate(points)
+        ],
+    }
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data))
+    for fmt in ("text", "json"):
+        assert run_cli(["analyze", str(path), "--format", fmt]) == (2, "", f"error: {message}\n")
 
 
 def analyze_json(tmp_path, cfg):

@@ -79,6 +79,21 @@ def test_duplicate_branch_rejected():
         validate(CurveConfig(["C0"], [sp1, sp2], 3))
 
 
+def test_generators_are_cut_to_the_truncation():
+    # a series already at N is kept as built; one given past N is cut to N,
+    # so no kept series carries a term past the truncation
+    n = 5
+    above = LaurentSeries(place(0), 12, {2: 1, 6: 3, 9: 1})
+    at = LaurentSeries(place(0), n, {3: 1, 5: 2})
+    below = LaurentSeries(place(0), 4, {4: 1})
+    sp = SingularPoint("p", (place(0),), "explicit", (1,), ((above,), (at,), (below,)))
+    cfg = validate(CurveConfig(["C0"], [sp], n))
+    (cut,), (kept,), (raised,) = cfg.singular_points[0].generators
+    assert kept is at
+    assert (cut.truncation, cut.coeffs) == (n, {2: 1})
+    assert (raised.truncation, raised.coeffs) == (n, {4: 1})
+
+
 def test_truncation_too_small_rejected():
     gens = ((mono(0, 2, 2),), (mono(0, 3, 2),))
     sp = SingularPoint("p", (place(0),), "explicit", (1,), gens)

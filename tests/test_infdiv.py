@@ -6,9 +6,11 @@ kernels as nullspaces.  They share no code path with the package's
 own elimination routines.
 """
 
+from collections import Counter
 import itertools
 from fractions import Fraction as F
 import random
+import sys
 
 import pytest
 import sympy
@@ -20,8 +22,10 @@ from oracles import (
     oracle_formal_group,
 )
 
+from albx import linalg
 from albx.curve import CurveConfig, Divisor, SingularPoint, validate
 from albx.errors import InputError, InsufficientTruncationError
+from albx.fixtures import line_chain, rfold
 from albx.funcfield import INF, LaurentSeries, Place
 from albx.infdiv import (
     FormalGroupData,
@@ -228,3 +232,49 @@ def test_etale_kernel_matches_integer_kernel():
         vectors += len(got)
         cyclic += bool(got)
     assert vectors > 10000 and cyclic > 1800
+
+
+def test_etale_kernel_runs_no_elimination(monkeypatch, whole_zoo):
+    # the forest's cycles are the Hermite form, so no elimination runs:
+    # hnf_rows and integer_kernel_basis are wrapped in every albx module
+    # that holds them, as `from .linalg import ...` copies the reference
+    curves = [*whole_zoo.values(), *(rfold(r) for r in range(2, 9))]
+    curves += [line_chain(k, ["ordinary"] * n) for k in range(2, 7) for n in (k - 1, k)]
+    expected = [etale_kernel_reference(cfg) for cfg in curves]
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    wrapped = 0
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").partition(".")[0] == "albx":
+            for name in ("hnf_rows", "integer_kernel_basis"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+                    wrapped += 1
+    assert wrapped >= 4  # linalg and sampling hold both
+    got = [etale_kernel(cfg) for cfg in curves]
+    assert calls == Counter()
+    assert got == expected
+    # the wrappers count: integer_kernel_basis calls hnf_rows through linalg
+    linalg.integer_kernel_basis([[1, 1]], 2)
+    assert calls == Counter({"integer_kernel_basis": 1, "hnf_rows": 1})
+
+
+def test_principal_parts_kept_at_their_place():
+    # a part at truncation -1 at its own place is kept as built; any other
+    # is rebuilt there at -1
+    kept = principal({-2: 1, -1: 3})
+    moved = LaurentSeries(Place("C0", 1), -1, {-1: 1})
+    deep = LaurentSeries(P0, 4, {-1: 2, 3: 1})
+    delta = InfinitesimalDivisor({P0: kept, Place("C0", 2): moved})
+    assert delta.part(P0) is kept
+    assert delta.part(Place("C0", 2)) == principal({-1: 1}, Place("C0", 2))
+    with pytest.raises(InputError, match="nonnegative exponent"):
+        InfinitesimalDivisor({P0: deep})
+    assert InfinitesimalDivisor({P0: LaurentSeries(P0, 4, {-1: 2})}).part(P0) == principal({-1: 2})

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
 
-from albx.curve import Divisor
-from albx.funcfield import LaurentSeries, Place
+import pytest
+
+from albx.curve import CurveConfig, Divisor, SingularPoint, validate
+from albx.funcfield import INF, LaurentSeries, Place
 from albx.infdiv import FormalGroupData, InfinitesimalDivisor, divisor_group
 from albx.motive import (
     OneMotive,
@@ -13,6 +15,7 @@ from albx.motive import (
     linear_group,
     one_motive,
 )
+from oracles import base_points_reference
 
 
 def synthetic_formal(t, v, rng=None):
@@ -93,6 +96,52 @@ def test_albanese_base_point_rule(node, tacnode):
     # smallest nonnegative integer coordinate avoiding the branch places
     assert base_points_for(node)["C0"] == Place("C0", 1)  # 0 is a branch
     assert base_points_for(tacnode)["C0"] == Place("C0", 2)  # 0 and 1 taken
+
+
+def _ordinary_curve(components, fibers):
+    points = [
+        SingularPoint(f"p{k}", tuple(Place(c, x) for c, x in fiber))
+        for k, fiber in enumerate(fibers)
+    ]
+    return validate(CurveConfig(components, points, 2))
+
+
+@pytest.mark.parametrize(
+    "components, fibers, expected",
+    [
+        (["C0"], [[("C0", 0), ("C0", F(1, 2)), ("C0", 1), ("C0", INF)]], {"C0": 2}),
+        (["C0", "C1"], [[("C0", 0), ("C0", 1)]], {"C0": 2, "C1": 0}),
+        (["C0"], [[("C0", x) for x in range(6)]], {"C0": 6}),
+        (["C0", "C1"], [[("C0", 0), ("C1", 0)], [("C0", 1), ("C1", 2)]], {"C0": 2, "C1": 1}),
+    ],
+)
+def test_base_points_edge_cases(components, fibers, expected):
+    cfg = _ordinary_curve(components, fibers)
+    got = base_points_for(cfg)
+    assert got == base_points_reference(cfg)
+    assert got == {c: Place(c, k) for c, k in expected.items()}
+    assert list(got) == list(cfg.components)
+
+
+def test_base_points_match_probing_reference():
+    rng = random.Random(3131)
+    pool = [*range(8), F(1, 2), F(-3, 4), F(7, 3), INF]
+    seen = set()
+    for _ in range(500):
+        components = [f"C{k}" for k in range(rng.randint(1, 4))]
+        free = [(c, x) for c in components for x in pool]
+        rng.shuffle(free)
+        fibers = []
+        for _ in range(rng.randint(1, 4)):
+            r = rng.randint(1, 6)
+            if len(free) >= r:
+                fibers.append(free[:r])
+                free = free[r:]
+        cfg = _ordinary_curve(components, fibers)
+        got = base_points_for(cfg)
+        assert got == base_points_reference(cfg), cfg
+        seen.update(p.coordinate for p in got.values())
+    assert seen >= set(range(6)), seen
 
 
 def test_albanese_json(node):

@@ -12,7 +12,10 @@ are exempt from the parameter check, since the protocol fixes their
 signatures.  Only curve.py reads a singular point's kind: every other
 module reads the conductors and spans that validate derives from it.
 Only arith.py names factorint: nothing else in the package factors an
-integer.  Only linalg.py reads a _rows attribute: every other module
+integer.  Only linalg.py and sampling.py name hnf_rows or
+integer_kernel_basis: the dual graph's lattice is read off a spanning
+forest in Hermite form, so no elimination runs outside the sampler.
+Only linalg.py reads a _rows attribute: every other module
 reads a RowSpan through sparse_rows, contains and rank, and only
 linalg.py reads an ncols attribute: a span takes sparse rows, so no
 other module forms a vector as wide as a span.  A singular point keeps
@@ -202,6 +205,17 @@ def test_only_arith_names_factorint():
         name
         for name, tree in parsed_modules().items()
         if name != "arith.py" and references(tree)["factorint"]
+    ]
+    assert not found, found
+
+
+def test_only_linalg_and_sampling_name_integer_elimination():
+    found = [
+        f"{name}:{ref}"
+        for name, tree in parsed_modules().items()
+        if name not in ("linalg.py", "sampling.py")
+        for ref in ("hnf_rows", "integer_kernel_basis")
+        if references(tree)[ref]
     ]
     assert not found, found
 
